@@ -2,7 +2,7 @@
 model evaluation, theory-independent inequalities, C = I classification,
 GDAG enumeration, and entropic cones."""
 
-from .graph import GDag, GraphError, NodeKind, parse_gdag, serialize_gdag
+from .graph import GDag, GraphError, NodeKind, parse_gdag
 from .dsep import (
     CISet,
     CIStatement,
@@ -15,7 +15,6 @@ from .dsep import (
 from .models import (
     ClassicalGmcModel,
     ConditionalDistribution,
-    Cpt,
     Distribution,
     IndependenceReport,
     Kernel,
@@ -24,7 +23,6 @@ from .models import (
     entropy,
     information_quantity,
     is_conditionally_independent,
-    joint_from_markov,
     mutual_information,
     observed_from_classical_gmc,
     satisfies_I,
@@ -62,11 +60,10 @@ from .cones import (
     derive_classical_cone,
     derive_independence_cone,
     elemental_inequalities,
-    entropy_vector,
     fourier_motzkin_eliminate,
     implied_by,
     markov_constraint_rows,
 )
-from .linprog import Constraint, lp_feasible, nonneg_combination
+from .linprog import nonneg_combination
 
 __version__ = "0.1.0"

@@ -11,12 +11,15 @@ condition.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, Optional, Union
 
 from .graph import GDag, NodeKind, _bits
-from .dsep import _dsep_mask, _observed_triples, ci_subset
+from .dsep import ci_subset
+# perfbench/spans.py wraps classify._dsep_mask and classify.ci_subset by name.
+from .dsep import _dsep_mask  # noqa: F401
 
 
 class TransformError(ValueError):
@@ -58,6 +61,12 @@ class AddEdgeParentSubset:
 Transformation = Union[
     RemoveEdge, RemoveIsolatedUnobserved, AddEdgeUnobservedPath, AddEdgeParentSubset
 ]
+
+_EDGE_OPS = {
+    RemoveEdge: "remove-edge",
+    AddEdgeUnobservedPath: "add-edge-unobserved-path",
+    AddEdgeParentSubset: "add-edge-parent-subset",
+}
 
 
 def _unobs_reachable(g: GDag, a: int) -> int:
@@ -137,6 +146,16 @@ class Certificate:
             return False
         return self.replay() == self.final and ci_subset(self.final, self.source)
 
+    def to_json(self) -> str:
+        steps = [
+            {"op": "remove-isolated-unobserved", "node": t.n}
+            if isinstance(t, RemoveIsolatedUnobserved)
+            else {"op": _EDGE_OPS[type(t)], "a": t.a, "b": t.b}
+            for t in self.steps
+        ]
+        obj = {"steps": steps, "final": json.loads(self.final.to_json())}
+        return json.dumps(obj, separators=(", ", ": "))
+
 
 # -- the certificate search over orderings and root assignments ---------
 
@@ -160,18 +179,29 @@ def _closure_step_list(g: GDag) -> tuple[GDag, list[Transformation]]:
     return g, steps
 
 
-def _final_edges_for_branch(
-    g1: GDag, order: tuple[int, ...], roots: tuple[int, ...]
+def _simulate_branch(
+    g1: GDag, order: tuple[int, ...], roots: tuple[int, ...],
+    steps: Optional[list[Transformation]] = None,
 ) -> tuple[int, ...]:
     """Simulate one branch on parent bitmasks; return the final parent
-    masks restricted to observed nodes (original index space)."""
+    masks restricted to observed nodes (original index space).
+
+    When ``steps`` is given, the branch's transformations are appended to
+    it: each tricky node's parent removals and parent-subset additions,
+    then the removal of every edge touching a latent and of every latent
+    node, each group in ascending node index.
+    """
+    names = g1.names
     par = list(g1.parent_mask)
     unobs = g1.all_mask & ~g1.observed_mask
     for i, t in enumerate(order):
         later = 0
         for j in order[i + 1:]:
             later |= 1 << j
-        par[t] &= ~(later | (unobs & ~(1 << roots[i])))
+        drop = par[t] & (later | (unobs & ~(1 << roots[i])))
+        par[t] &= ~drop
+        if steps is not None:
+            steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
         for j in order[i + 1:]:
             if (par[j] >> t) & 1:
                 continue
@@ -195,67 +225,15 @@ def _final_edges_for_branch(
             if hit:
                 continue
             par[j] |= 1 << t
-    obs_idx = [i for i in range(len(g1.names)) if (g1.observed_mask >> i) & 1]
-    return tuple(par[i] & g1.observed_mask for i in obs_idx)
-
-
-def _branch_transformations(
-    g: GDag, g1: GDag, step1: list[Transformation],
-    order: tuple[int, ...], roots: tuple[int, ...],
-) -> list[Transformation]:
-    """Materialize the full transformation list for one branch."""
-    steps = list(step1)
-    h = g1
-    unobs = set(g1.unobserved_nodes())
-    for i, ti in enumerate(order):
-        t_name = g1.names[ti]
-        later = {g1.names[j] for j in order[i + 1:]}
-        root_name = g1.names[roots[i]]
-        for p in list(h.parents(t_name)):
-            if p in later or (p in unobs and p != root_name):
-                tr = RemoveEdge(p, t_name)
-                h = apply_transformation(h, tr)
-                steps.append(tr)
-        for j in order[i + 1:]:
-            j_name = g1.names[j]
-            try:
-                tr2 = AddEdgeParentSubset(t_name, j_name)
-                h = apply_transformation(h, tr2)
-                steps.append(tr2)
-            except TransformError:
-                pass
-    for a, b in list(h.edges):
-        if a in unobs or b in unobs:
-            tr = RemoveEdge(a, b)
-            h = apply_transformation(h, tr)
-            steps.append(tr)
-    for n in g1.names:
-        if n in unobs:
-            tr = RemoveIsolatedUnobserved(n)
-            h = apply_transformation(h, tr)
-            steps.append(tr)
-    return steps
-
-
-def _ci_subset_masks(final_par: tuple[int, ...], g: GDag) -> bool:
-    """ci_subset for a branch final given as observed parent masks."""
-    obs_idx = [i for i in range(len(g.names)) if (g.observed_mask >> i) & 1]
-    final = GDag(
-        [(g.names[i], NodeKind.OBSERVED) for i in obs_idx],
-        [
-            (g.names[p], g.names[c])
-            for c, pm in zip(obs_idx, final_par)
-            for p in _bits(pm)
-        ],
-    )
-    for xm, ym, zm in _observed_triples(final):
-        if _dsep_mask(final, xm, ym, zm):
-            xo = g.mask_of(final.names_of(xm))
-            yo = g.mask_of(final.names_of(ym))
-            zo = g.mask_of(final.names_of(zm))
-            if not _dsep_mask(g, xo, yo, zo):
-                return False
-    return True
+            if steps is not None:
+                steps.append(AddEdgeParentSubset(names[t], names[j]))
+    if steps is not None:
+        for c, pm in enumerate(par):
+            if not (unobs >> c) & 1:
+                pm &= unobs
+            steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
+        steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
+    return tuple(par[i] & g1.observed_mask for i in _bits(g1.observed_mask))
 
 
 def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
@@ -277,23 +255,29 @@ def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
         t: [r for r in root_set if (g1.child_mask[r] >> t) & 1] for t in tricky
     }
 
+    observed = [(n, NodeKind.OBSERVED) for n in g1.observed_nodes()]
     tried: dict[tuple[int, ...], bool] = {}
     for order in permutations(tricky):
         pools = [candidates[t] for t in order]
         if any(not p for p in pools):
             continue
         for roots in product(*pools):
-            final_par = _final_edges_for_branch(g1, order, roots)
+            final_par = _simulate_branch(g1, order, roots)
             ok = tried.get(final_par)
             if ok is None:
-                ok = _ci_subset_masks(final_par, g)
-                tried[final_par] = ok
+                h = GDag(observed, [
+                    (g1.names[p], name)
+                    for (name, _), pm in zip(observed, final_par)
+                    for p in _bits(pm)
+                ])
+                ok = tried[final_par] = ci_subset(h, g)
             if ok:
-                steps = tuple(_branch_transformations(g, g1, step1, order, roots))
+                steps = list(step1)
+                _simulate_branch(g1, order, roots, steps)
                 final = g
                 for t in steps:
                     final = apply_transformation(final, t)
-                return Certificate(g, steps, final)
+                return Certificate(g, tuple(steps), final)
     return None
 
 

@@ -1,16 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 = computed, 1 = property violated / condition not
-established (check-style commands), 2 = usage or parse error.
+established (check-style commands), 2 = usage error or bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from .graph import GDag, GraphError, parse_gdag
 from .dsep import (
@@ -26,18 +24,12 @@ from .models import (
     satisfies_I,
 )
 from .inequalities import (
+    MONOGAMY_TOL,
     instrumental_value,
     triangle_gpt_feasible,
     triangle_monogamy_margin,
 )
-from .classify import (
-    AddEdgeParentSubset,
-    AddEdgeUnobservedPath,
-    RemoveEdge,
-    RemoveIsolatedUnobserved,
-    reduce as reduce_gdag,
-    sufficient_condition_holds,
-)
+from .classify import reduce as reduce_gdag, sufficient_condition_holds
 from .enumeration import classification_census
 from .cones import (
     ConeError,
@@ -51,16 +43,6 @@ class CliError(Exception):
     pass
 
 
-def _read_graph(path: str) -> GDag:
-    try:
-        with open(path) as f:
-            return parse_gdag(f.read())
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}") from None
-    except GraphError as e:
-        raise CliError(str(e)) from None
-
-
 def _read_json(path: str) -> str:
     try:
         with open(path) as f:
@@ -69,22 +51,25 @@ def _read_json(path: str) -> str:
         raise CliError(f"cannot read {path}: {e.strerror}") from None
 
 
+def _read_graph(path: str) -> GDag:
+    return parse_gdag(_read_json(path))
+
+
+def _read_dist(path: str) -> Distribution | ConditionalDistribution:
+    text = _read_json(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CliError(f"bad distribution: {e}") from None
+    if isinstance(obj, dict) and obj.get("given"):
+        return ConditionalDistribution.from_json(text)
+    return Distribution.from_json(text)
+
+
 def _split(arg: str | None) -> frozenset[str]:
     if not arg:
         return frozenset()
     return frozenset(x for x in arg.split(",") if x)
-
-
-def _step_json(step) -> dict:
-    if isinstance(step, RemoveEdge):
-        return {"op": "remove-edge", "a": step.a, "b": step.b}
-    if isinstance(step, RemoveIsolatedUnobserved):
-        return {"op": "remove-isolated-unobserved", "node": step.n}
-    if isinstance(step, AddEdgeUnobservedPath):
-        return {"op": "add-edge-unobserved-path", "a": step.a, "b": step.b}
-    if isinstance(step, AddEdgeParentSubset):
-        return {"op": "add-edge-parent-subset", "a": step.a, "b": step.b}
-    raise CliError(f"unknown step {step!r}")
 
 
 def _cmd_dsep(args) -> int:
@@ -125,19 +110,9 @@ def _cmd_ci_set(args) -> int:
     return 0
 
 
-def _parse_dist(text: str):
-    obj = json.loads(text)
-    if "given" in obj and obj["given"]:
-        return ConditionalDistribution.from_json(text)
-    return Distribution.from_json(text)
-
-
 def _cmd_check_dist(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        dist = _parse_dist(_read_json(args.dist))
-    except (json.JSONDecodeError, ModelError) as e:
-        raise CliError(f"bad distribution: {e}") from None
+    dist = _read_dist(args.dist)
 
     out: dict = {}
     code = 0
@@ -163,17 +138,14 @@ def _cmd_check_dist(args) -> int:
             feas = triangle_gpt_feasible(dist)
             out["triangle_monogamy_margin"] = margin
             out["triangle_gpt_feasible"] = feas
-            if margin > 1e-9 or not feas:
+            if margin > MONOGAMY_TOL or not feas:
                 code = 1
     print(json.dumps(out, separators=(", ", ": ")))
     return code
 
 
 def _cmd_ineq(args) -> int:
-    try:
-        dist = _parse_dist(_read_json(args.dist))
-    except (json.JSONDecodeError, ModelError) as e:
-        raise CliError(f"bad distribution: {e}") from None
+    dist = _read_dist(args.dist)
     if args.family == "triangle":
         if not isinstance(dist, Distribution):
             raise CliError("triangle inequalities need a joint distribution")
@@ -185,7 +157,7 @@ def _cmd_ineq(args) -> int:
                 separators=(", ", ": "),
             )
         )
-        return 1 if margin > 1e-9 or not feas else 0
+        return 1 if margin > MONOGAMY_TOL or not feas else 0
     if not isinstance(dist, ConditionalDistribution) or len(dist.given) != 1:
         raise CliError(
             "instrumental inequality needs a conditional distribution "
@@ -202,15 +174,7 @@ def _cmd_classify(args) -> int:
     if cert is None:
         print("unknown")
         return 1
-    print(
-        json.dumps(
-            {
-                "steps": [_step_json(s) for s in cert.steps],
-                "final": json.loads(cert.final.to_json()),
-            },
-            separators=(", ", ": "),
-        )
-    )
+    print(cert.to_json())
     return 0
 
 
@@ -232,13 +196,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_entropic(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        ec = derive_classical_cone(
-            g, allow_large=args.long_run, progress=args.progress
-        )
-        ei = derive_independence_cone(g, allow_large=args.long_run)
-    except ConeError as e:
-        raise CliError(str(e)) from None
+    ec = derive_classical_cone(g, allow_large=args.long_run, progress=args.progress)
+    ei = derive_independence_cone(g, allow_large=args.long_run)
     out = {
         "classical": json.loads(ec.to_json()),
         "independence": json.loads(ei.to_json()),
@@ -263,17 +222,6 @@ def _cmd_entropic(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gdag-lab")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-threaded byte-reproducible output",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("GDAG_LAB_JOBS", "1")),
-        help="worker pool size hint (computation is sequential)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dsep", help="d-separation query")
@@ -330,7 +278,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, GraphError, ModelError, ConeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .graph import GDag, NodeKind, _bits
 from .dsep import observable_ci_set
-from .models import Distribution
 from .linprog import nonneg_combination
 
 MAX_CONE_NODES = 6
@@ -440,18 +439,3 @@ def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
 def implied_by(ineq: LinIneq, c: Cone) -> bool:
     """True iff ineq is a nonnegative rational combination of c's rows."""
     return _rows_implies(list(c.rows), c.row_of(ineq))
-
-
-def entropy_vector(p: Distribution) -> dict[frozenset[str], float]:
-    """Base-2 entropies of every nonempty subset of p's variables."""
-    names = [n for n, _ in p.variables]
-    out: dict[frozenset[str], float] = {}
-    for mask in range(1, 1 << len(names)):
-        subset = [names[i] for i in _bits(mask)]
-        marg = p.marginal(subset)
-        h = 0.0
-        for q in marg.probs:
-            if q:
-                h -= float(q) * log2(float(q))
-        out[frozenset(subset)] = h
-    return out

@@ -239,7 +239,3 @@ def parse_gdag(text: str) -> GDag:
     except (TypeError, KeyError, ValueError) as e:
         raise GraphError(f"malformed node or edge entry: {e}") from None
     return GDag(nodes, edges)
-
-
-def serialize_gdag(g: GDag) -> str:
-    return g.to_json()

@@ -9,6 +9,10 @@ from itertools import product
 from .linprog import nonneg_combination
 from .models import ConditionalDistribution, Distribution, ModelError, entropy
 
+#: A monogamy margin above this many bits certifies a violation; smaller
+#: positive values are floating-point noise in the entropies.
+MONOGAMY_TOL = 1e-9
+
 
 def _three_vars(p: Distribution) -> tuple[str, str, str]:
     if len(p.variables) != 3:
@@ -42,7 +46,7 @@ def triangle_gpt_feasible(p: Distribution) -> bool:
 
     # Nonnegative q with three families of marginal equalities; feasibility
     # is q >= 0 with A q = b, i.e. b is a nonnegative combination of A's
-    # columns.  Constraint row order: (a,b) block, (b,c) block, (a,c) block.
+    # columns.  Equality row order: (a,b) block, (b,c) block, (a,c) block.
     def row_index(kind: int, i: int, j: int) -> int:
         if kind == 0:
             return i * cb + j

@@ -8,22 +8,8 @@ objective interface is exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """sum(coeffs[v] * x[v]) REL rhs with REL one of '>=' or '=='."""
-
-    coeffs: Mapping[str, Fraction]
-    relation: str
-    rhs: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.relation not in (">=", "=="):
-            raise ValueError(f"bad relation {self.relation!r}")
+from typing import Optional, Sequence
 
 
 def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -102,43 +88,3 @@ def nonneg_combination(
     dim = len(target)
     A = [[Fraction(rows[j][k]) for j in range(len(rows))] for k in range(dim)]
     return _phase1(A, [Fraction(t) for t in target])
-
-
-def lp_feasible(
-    constraints: Sequence[Constraint],
-) -> Optional[dict[str, Fraction]]:
-    """A rational point satisfying all constraints, or None.
-
-    Variables are free; each is split into a difference of nonnegative
-    parts, and each inequality gets a slack variable.
-    """
-    names: list[str] = []
-    seen = set()
-    for c in constraints:
-        for v in c.coeffs:
-            if v not in seen:
-                seen.add(v)
-                names.append(v)
-    col = {v: 2 * i for i, v in enumerate(names)}  # v+ at col, v- at col+1
-    n_slack = sum(1 for c in constraints if c.relation == ">=")
-    width = 2 * len(names) + n_slack
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_at = 2 * len(names)
-    for c in constraints:
-        row = [Fraction(0)] * width
-        for v, a in c.coeffs.items():
-            a = Fraction(a)
-            row[col[v]] += a
-            row[col[v] + 1] -= a
-        if c.relation == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-        rows.append(row)
-        rhs.append(Fraction(c.rhs))
-
-    x = _phase1(rows, rhs) if rows else []
-    if x is None:
-        return None
-    return {v: x[col[v]] - x[col[v] + 1] for v in names}

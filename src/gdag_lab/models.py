@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .graph import GDag, NodeKind
+from .graph import GDag
 from . import dsep
 
 
@@ -164,65 +164,6 @@ class ConditionalDistribution:
 
 
 @dataclass(frozen=True)
-class Cpt:
-    """Conditional probability table for one node given its parents.
-
-    ``table`` maps each parent-outcome tuple (in ``given`` order) to a
-    distribution over the node's outcomes.
-    """
-
-    node: str
-    card: int
-    given: tuple[tuple[str, int], ...]
-    table: Mapping[tuple[int, ...], tuple[Fraction, ...]]
-
-    def __post_init__(self):
-        keys = set(product(*(range(c) for _, c in self.given)))
-        if set(self.table) != keys:
-            raise ModelError(f"CPT for {self.node!r} has wrong key set")
-        for k, row in self.table.items():
-            if len(row) != self.card:
-                raise ModelError(f"CPT row {k} has wrong length")
-            if any(p < 0 for p in row):
-                raise ModelError("negative probability")
-            if sum(row, Fraction(0)) != 1:
-                raise ModelError(f"CPT row {k} does not sum to 1")
-
-
-def joint_from_markov(dag: GDag, cpts: Sequence[Cpt]) -> Distribution:
-    """Exact product-form joint of an all-observed Bayesian network."""
-    if any(k is NodeKind.UNOBSERVED for k in dag.kinds):
-        raise ModelError("graph has unobserved nodes")
-    by_node = {c.node: c for c in cpts}
-    if set(by_node) != set(dag.names):
-        raise ModelError("need exactly one CPT per node")
-    cards = {}
-    for name in dag.names:
-        cpt = by_node[name]
-        if set(n for n, _ in cpt.given) != set(dag.parents(name)):
-            raise ModelError(f"CPT parents for {name!r} do not match graph")
-        cards[name] = cpt.card
-    for name in dag.names:
-        for pname, pcard in by_node[name].given:
-            if cards[pname] != pcard:
-                raise ModelError(f"inconsistent cardinality for {pname!r}")
-
-    variables = tuple((n, cards[n]) for n in dag.names)
-    pos = {n: i for i, n in enumerate(dag.names)}
-    probs = []
-    for outcome in product(*(range(c) for _, c in variables)):
-        p = Fraction(1)
-        for name in dag.names:
-            cpt = by_node[name]
-            key = tuple(outcome[pos[pn]] for pn, _ in cpt.given)
-            p *= cpt.table[key][outcome[pos[name]]]
-            if not p:
-                break
-        probs.append(p)
-    return Distribution(variables, tuple(probs))
-
-
-@dataclass(frozen=True)
 class Kernel:
     """Classical test at one node of a GDAG.
 
@@ -271,7 +212,8 @@ class Kernel:
 @dataclass(frozen=True)
 class ClassicalGmcModel:
     """A classical realization of a GDAG: a kernel per node plus a finite
-    message cardinality per unobserved edge."""
+    message cardinality per unobserved edge.  On an all-observed DAG the
+    kernels are the conditional probability tables of a Bayesian network."""
 
     gdag: GDag
     edge_cards: Mapping[tuple[str, str], int]
@@ -295,6 +237,12 @@ class ClassicalGmcModel:
             )
             if tuple(n for n, _ in k.obs_parents) != obs_pa:
                 raise ModelError(f"kernel observed parents mismatch at {name!r}")
+            for p, card in k.obs_parents:
+                if card != self.kernels[p].out_card:
+                    raise ModelError(
+                        f"kernel at {name!r} gives {p!r} cardinality {card}, "
+                        f"not {self.kernels[p].out_card}"
+                    )
             in_e = tuple(
                 (e, self.edge_cards[e])
                 for e in g.edges

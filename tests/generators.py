@@ -11,7 +11,6 @@ from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.models import (
     ClassicalGmcModel,
     ConditionalDistribution,
-    Cpt,
     Distribution,
     Kernel,
     observed_from_classical_gmc,
@@ -102,12 +101,12 @@ def random_classical_gmc(
     return ClassicalGmcModel(g, edge_cards, kernels)
 
 
-def random_markov_cpts(
+def random_markov_model(
     rng: Random, g: GDag, max_card: int = 3
-) -> list[Cpt]:
-    """Random CPTs for an all-observed DAG."""
+) -> ClassicalGmcModel:
+    """A random classical model of an all-observed DAG (a Bayesian network)."""
     cards = {n: rng.randint(2, max_card) for n in g.names}
-    cpts = []
+    kernels = {}
     for name in g.names:
         given = tuple(
             (p, cards[p]) for p in g.names if p in g.parents(name)
@@ -116,8 +115,8 @@ def random_markov_cpts(
             key: random_prob_row(rng, cards[name])
             for key in product(*(range(c) for _, c in given))
         }
-        cpts.append(Cpt(name, cards[name], given, table))
-    return cpts
+        kernels[name] = Kernel(name, cards[name], given, (), (), table)
+    return ClassicalGmcModel(g, {}, kernels)
 
 
 def random_triangle_distribution(

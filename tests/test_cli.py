@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gdag_lab
 from gdag_lab.catalog import bell_gdag, chain, instrumental_gdag, one_sided_bell_gdag
 from gdag_lab.cli import run
-from gdag_lab.graph import parse_gdag
+from gdag_lab.graph import GDag, NodeKind, parse_gdag
 from gdag_lab.models import ConditionalDistribution, Distribution
 
 F = Fraction
@@ -115,6 +120,31 @@ def test_ineq_instrumental(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "1"
 
 
+TWO_VARS = Distribution((("A", 2), ("B", 2)), (F(1, 4),) * 4).to_json()
+ONE_VAR_FAMILY = ConditionalDistribution((("A", 2),), (("Y", 2),), (H, H, H, H)).to_json()
+
+
+@pytest.mark.parametrize(
+    "command, dist_text",
+    [
+        (["check-dist", "CHAIN"], TWO_VARS),
+        (["check-dist", "CHAIN"], "7"),
+        (["ineq", "triangle"], TWO_VARS),
+        (["ineq", "instrumental"], ONE_VAR_FAMILY),
+        (["check-dist", "CHAIN"], ONE_VAR_FAMILY),
+    ],
+    ids=["vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var", "check-dist-1-var"],
+)
+def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
+    gp = tmp_path / "chain.json"
+    gp.write_text(chain().to_json())
+    dp = tmp_path / "dist.json"
+    dp.write_text(dist_text)
+    argv = [str(gp) if a == "CHAIN" else a for a in command] + [str(dp)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ineq_shape_error(tmp_path, capsys):
     prod = Distribution((("A", 2),), (H, H))
     assert run(["ineq", "instrumental", _dist_path(tmp_path, prod)]) == 2
@@ -129,6 +159,28 @@ def test_classify_certificate(tmp_path, capsys):
     assert all(k == "observed" for k in (n["kind"] for n in out["final"]["nodes"]))
     assert set(final.names) == {"X", "A", "B"}
     assert all("op" in s for s in out["steps"])
+
+
+def test_classify_output_independent_of_hash_seed(tmp_path):
+    names = "ABCDEFG"
+    g = GDag(
+        [(n, NodeKind.OBSERVED if n == "F" else NodeKind.UNOBSERVED) for n in names],
+        [tuple(e) for e in ("AC", "AD", "AF", "BC", "BE", "BF", "BG", "CD", "CF", "DE", "EG")],
+    )
+    gp = tmp_path / "g.json"
+    gp.write_text(g.to_json())
+    src = str(Path(gdag_lab.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from gdag_lab.cli import run; sys.exit(run(sys.argv[1:]))",
+             "classify", str(gp)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["final"]["nodes"] == [{"id": "F", "kind": "observed"}]
 
 
 def test_classify_unknown(bell_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,19 +13,18 @@ from gdag_lab.cones import (
     derive_classical_cone,
     derive_independence_cone,
     elemental_inequalities,
-    entropy_vector,
     fourier_motzkin_eliminate,
     implied_by,
     markov_constraint_rows,
 )
-from gdag_lab.linprog import Constraint, lp_feasible
-from gdag_lab.models import Distribution, joint_from_markov, observed_from_classical_gmc
+from gdag_lab.models import entropy, observed_from_classical_gmc
 
 from generators import (
     random_classical_gmc,
     random_gdag,
-    random_markov_cpts,
+    random_markov_model,
 )
+from oracles import Constraint, lp_feasible
 
 F = Fraction
 
@@ -36,6 +36,15 @@ def cone_implies(a: Cone, b: Cone) -> bool:
 
 def cones_equivalent(a: Cone, b: Cone) -> bool:
     return cone_implies(a, b) and cone_implies(b, a)
+
+
+def _entropy_vector(p) -> dict[frozenset[str], float]:
+    """Entropies of every nonempty subset of p's variables."""
+    return {
+        frozenset(s): entropy(p, s)
+        for k in range(1, len(p.names) + 1)
+        for s in combinations(p.names, k)
+    }
 
 
 # -- inequality and cone data types ------------------------------------
@@ -90,8 +99,8 @@ def test_elemental_counts():
 def test_elemental_hold_on_entropy_vectors(seed):
     rng = Random(seed)
     g = random_gdag(rng, max_nodes=4, p_unobserved=0.0)
-    p = joint_from_markov(g, random_markov_cpts(rng, g))
-    h = entropy_vector(p)
+    p = observed_from_classical_gmc(random_markov_model(rng, g))
+    h = _entropy_vector(p)
     for ineq in elemental_inequalities(p.names).ineqs():
         assert ineq.value(h) >= -1e-9
 
@@ -101,8 +110,8 @@ def test_elemental_hold_on_entropy_vectors(seed):
 def test_markov_rows_vanish_on_markov_joints(seed):
     rng = Random(seed)
     g = random_gdag(rng, max_nodes=4, p_unobserved=0.0)
-    p = joint_from_markov(g, random_markov_cpts(rng, g))
-    h = entropy_vector(p)
+    p = observed_from_classical_gmc(random_markov_model(rng, g))
+    h = _entropy_vector(p)
     for ineq in markov_constraint_rows(g):
         assert abs(ineq.value(h)) <= 1e-9
 
@@ -220,7 +229,7 @@ def test_classical_cone_sound_on_models(seed):
     m = random_classical_gmc(rng, g)
     if m is None:
         return
-    h = entropy_vector(observed_from_classical_gmc(m))
+    h = _entropy_vector(observed_from_classical_gmc(m))
     for ineq in ec.ineqs():
         assert ineq.value(h) >= -1e-9
 

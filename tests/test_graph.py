@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdag_lab.graph import GDag, GraphError, NodeKind, parse_gdag, serialize_gdag
+from gdag_lab.graph import GDag, GraphError, NodeKind, parse_gdag
 from gdag_lab.catalog import bell_gdag, triangle_gdag
 
 from generators import random_gdag
@@ -108,7 +108,7 @@ def test_derived_graphs():
 
 def test_json_round_trip_fixed():
     g = bell_gdag()
-    assert parse_gdag(serialize_gdag(g)) == g
+    assert parse_gdag(g.to_json()) == g
 
 
 def test_parse_rejects_garbage():
@@ -121,7 +121,7 @@ def test_parse_rejects_garbage():
 @given(st.integers(0, 10 ** 9))
 def test_json_round_trip_random(seed):
     g = random_gdag(Random(seed))
-    assert parse_gdag(serialize_gdag(g)) == g
+    assert parse_gdag(g.to_json()) == g
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,6 @@ from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.models import (
     ClassicalGmcModel,
     ConditionalDistribution,
-    Cpt,
     Distribution,
     Kernel,
     ModelError,
@@ -18,7 +17,6 @@ from gdag_lab.models import (
     entropy,
     information_quantity,
     is_conditionally_independent,
-    joint_from_markov,
     mutual_information,
     observed_from_classical_gmc,
     satisfies_I,
@@ -27,7 +25,7 @@ from gdag_lab.models import (
 from generators import (
     random_classical_gmc,
     random_gdag,
-    random_markov_cpts,
+    random_markov_model,
     random_prob_row,
 )
 
@@ -82,45 +80,35 @@ def test_conditional_distribution():
         ConditionalDistribution((("A", 2),), (("Y", 2),), (H, H, H, Q))
 
 
-def test_cpt_validation():
+def test_kernel_validation():
     with pytest.raises(ModelError):
-        Cpt("A", 2, (), {(): (H, Q)})
+        Kernel("A", 2, (), (), (), {(): (H, Q)})
     with pytest.raises(ModelError):
-        Cpt("A", 2, (("B", 2),), {(0,): (H, H)})
+        Kernel("A", 2, (("B", 2),), (), (), {(0,): (H, H)})
 
 
-def test_joint_from_markov_chain():
-    g = chain()
+def chain_model(table) -> ClassicalGmcModel:
+    """X -> Z -> Y with X uniform and ``table`` at Z and Y."""
+    kernels = {
+        "X": Kernel("X", 2, (), (), (), {(): (H, H)}),
+        "Z": Kernel("Z", 2, (("X", 2),), (), (), table),
+        "Y": Kernel("Y", 2, (("Z", 2),), (), (), table),
+    }
+    return ClassicalGmcModel(chain(), {}, kernels)
+
+
+def test_all_observed_chain():
     flip = {(0,): (H, H), (1,): (H, H)}
-    cpts = [
-        Cpt("X", 2, (), {(): (H, H)}),
-        Cpt("Z", 2, (("X", 2),), flip),
-        Cpt("Y", 2, (("Z", 2),), flip),
-    ]
-    p = joint_from_markov(g, cpts)
+    p = observed_from_classical_gmc(chain_model(flip))
     assert p == uniform2("X", "Z", "Y")
 
 
-def test_joint_from_markov_deterministic_copy():
-    g = chain()
+def test_all_observed_deterministic_copy():
     copy = {(0,): (Fraction(1), Fraction(0)), (1,): (Fraction(0), Fraction(1))}
-    cpts = [
-        Cpt("X", 2, (), {(): (H, H)}),
-        Cpt("Z", 2, (("X", 2),), copy),
-        Cpt("Y", 2, (("Z", 2),), copy),
-    ]
-    p = joint_from_markov(g, cpts)
+    p = observed_from_classical_gmc(chain_model(copy))
     assert p.prob((0, 0, 0)) == H
     assert p.prob((1, 1, 1)) == H
     assert p.prob((0, 1, 0)) == 0
-
-
-def test_joint_from_markov_rejects_latents_and_mismatch():
-    with pytest.raises(ModelError):
-        joint_from_markov(bell_gdag(), [])
-    g = chain()
-    with pytest.raises(ModelError):
-        joint_from_markov(g, [Cpt("X", 2, (), {(): (H, H)})])
 
 
 def shared_coin_model():
@@ -164,6 +152,22 @@ def test_classical_gmc_validation():
     )
     with pytest.raises(ModelError):
         ClassicalGmcModel(m.gdag, m.edge_cards, bad)
+    with pytest.raises(ModelError):  # one kernel for a three-node graph
+        ClassicalGmcModel(chain(), {}, {"X": Kernel("X", 2, (), (), (), {(): (H, H)})})
+
+
+@pytest.mark.parametrize("declared", [1, 3])
+def test_kernel_parent_cardinality_must_match(declared):
+    """A kernel's observed-parent cardinality must equal that parent's
+    output cardinality (2 for X here)."""
+    m = shared_coin_model()
+    kernels = dict(m.kernels)
+    kernels["A"] = Kernel(
+        "A", 2, (("X", declared),), ((("L", "A"), 2),), (),
+        {(x, msg): (H, H) for x in range(declared) for msg in range(2)},
+    )
+    with pytest.raises(ModelError):
+        ClassicalGmcModel(m.gdag, m.edge_cards, kernels)
 
 
 def test_is_conditionally_independent():
@@ -224,7 +228,7 @@ def test_random_prob_row_sums_to_one(seed):
 def test_markov_joint_satisfies_graph_cis(seed):
     rng = Random(seed)
     g = random_gdag(rng, max_nodes=4, p_unobserved=0.0)
-    p = joint_from_markov(g, random_markov_cpts(rng, g))
+    p = observed_from_classical_gmc(random_markov_model(rng, g))
     assert satisfies_I(g, p).holds
 
 
@@ -247,7 +251,7 @@ def test_strong_subadditivity_random(seed):
     g = random_gdag(rng, max_nodes=4, p_unobserved=0.0)
     if len(g.names) < 3:
         return
-    p = joint_from_markov(g, random_markov_cpts(rng, g))
+    p = observed_from_classical_gmc(random_markov_model(rng, g))
     a, b, *rest = p.names
     assert conditional_mutual_information(p, {a}, {b}, set(rest)) >= -1e-9
     assert mutual_information(p, {a}, {b}) >= -1e-9
