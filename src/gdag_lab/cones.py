@@ -13,13 +13,27 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph import GDag, NodeKind, _bits
 from .dsep import observable_ci_set
 from .linprog import nonneg_combination
 
 MAX_CONE_NODES = 6
+
+
+class _Routing(NamedTuple):
+    tol: float
+    max_denominator: int
+
+
+#: Float thresholds of the HiGHS proposal in ``_rows_implies``: an LP
+#: optimum above ``tol`` proposes a Farkas vector, rationalised with
+#: denominators up to ``max_denominator``; otherwise row duals above
+#: ``tol`` propose a support.  They only choose which exact check runs
+#: and never decide an answer.
+LP_ROUTING = _Routing(tol=1e-9, max_denominator=10**6)
 
 
 class ConeError(ValueError):
@@ -31,7 +45,7 @@ def _normalize(row: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
     denom = 1
     for c in row:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in row]
+    ints = [c.numerator * (denom // c.denominator) for c in row]
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
@@ -232,12 +246,7 @@ def markov_constraint_rows(g: GDag) -> list[LinIneq]:
 def _active_coords(
     rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> list[int]:
-    dim = len(target)
-    return [
-        k
-        for k in range(dim)
-        if target[k] or any(r[k] for r in rows)
-    ]
+    return [k for k, col in enumerate(zip(target, *rows)) if any(col)]
 
 
 def _exact_implies(
@@ -251,54 +260,77 @@ def _exact_implies(
     return lam is not None
 
 
+def _float_proposal(
+    rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> Optional[bool]:
+    """Ask HiGHS for  max target.y  s.t.  r.y <= 0 for every row,
+    -1 <= y <= 1.  An optimum of 0 proposes the support of the row duals,
+    a positive optimum proposes y as a Farkas vector.  Returns the answer
+    once an exact check confirms the proposal, else None."""
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return None
+    coords = _active_coords(rows, target)
+    res = linprog(
+        c=[-float(target[k]) for k in coords],
+        A_ub=[[float(r[k]) for k in coords] for r in rows],
+        b_ub=[0.0] * len(rows),
+        bounds=(-1, 1),
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    if -res.fun > LP_ROUTING.tol:
+        # y rationalised and scaled to integers must refute exactly; a
+        # vertex repeats few values, so each is rationalised once
+        x = res.x.tolist()
+        exact = {
+            v: Fraction(v).limit_denominator(LP_ROUTING.max_denominator)
+            for v in set(x)
+        }
+        y = _normalize([exact[v] for v in x])
+        if y is None:
+            return None
+        ks = [coords[i] for i, c in enumerate(y) if c]
+        cs = [c for c in y if c]
+
+        def dot(r: tuple[int, ...]) -> int:
+            return sum(map(mul, map(r.__getitem__, ks), cs))
+
+        refuted = dot(target) > 0 and all(dot(r) <= 0 for r in rows)
+        return False if refuted else None
+    support = [
+        rows[j]
+        for j, d in enumerate(res.ineqlin.marginals)
+        if -d > LP_ROUTING.tol
+    ]
+    return True if support and _exact_implies(support, target) else None
+
+
 def _rows_implies(
-    rows: Sequence[tuple[int, ...]],
-    target: tuple[int, ...],
-    strict: bool = True,
+    rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> bool:
     """Is target a nonnegative combination of rows?
 
-    With ``strict`` false a floating-point LP routes the answer: a
-    float-infeasible system is reported unimplied without exact proof
-    (keeping a row is always sound), while a float-feasible one is
-    confirmed exactly on the support of the float solution, falling back
-    to the full exact LP. Drops are therefore always exact.
+    A float LP, when SciPy is installed, only proposes a certificate:
+    "implied" needs an exact solve on the proposed support, "not implied"
+    an exact integer Farkas check.  Without SciPy, or when the proposal
+    does not verify, the exact simplex decides.
     """
-    if not rows:
+    if not rows or not any(target):
         return not any(target)
-    if strict:
-        return _exact_implies(rows, target)
-    try:
-        from scipy.optimize import linprog as _linprog
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        return _exact_implies(rows, target)
-    coords = _active_coords(rows, target)
-    a_eq = [[float(r[k]) for r in rows] for k in coords]
-    b_eq = [float(target[k]) for k in coords]
-    res = _linprog(
-        c=[0.0] * len(rows),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        return False
-    support = [j for j, v in enumerate(res.x) if v > 1e-9]
-    if support and _exact_implies([rows[j] for j in support], target):
-        return True
-    return _exact_implies(rows, target)
+    answer = _float_proposal(rows, target)
+    return _exact_implies(rows, target) if answer is None else answer
 
 
-def _minimize(
-    rows: list[tuple[int, ...]], strict: bool = True
-) -> list[tuple[int, ...]]:
+def _minimize(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Drop rows implied by the remaining ones (greedy, deterministic)."""
     rows = sorted(_dedupe(rows))
     keep = list(rows)
     for r in rows:
         rest = [q for q in keep if q != r]
-        if rest and _rows_implies(rest, r, strict=strict):
+        if rest and _rows_implies(rest, r):
             keep = rest
     return keep
 
@@ -397,7 +429,7 @@ def derive_classical_cone(
     latent_coords.sort(key=lambda m: (bin(m).count("1"), m))
     for step, m in enumerate(latent_coords):
         rows = _eliminate_coord(rows, m - 1)
-        rows = _minimize(rows, strict=False)
+        rows = _minimize(rows)
         if progress:
             import sys
 

@@ -50,9 +50,9 @@ def canonical_key(g: GDag) -> tuple:
     return best
 
 
-def canonical_form(g: GDag) -> GDag:
-    """Canonical representative of the kind-preserving isomorphism class."""
-    kv, bits = canonical_key(g)
+def _graph_of_key(key: tuple) -> GDag:
+    """The graph a canonical key encodes, on the names of _NAMES."""
+    kv, bits = key
     n = len(kv)
     nodes = [
         (_NAMES[i], NodeKind.OBSERVED if kv[i] == 0 else NodeKind.UNOBSERVED)
@@ -67,12 +67,17 @@ def canonical_form(g: GDag) -> GDag:
     return GDag(nodes, edges)
 
 
+def canonical_form(g: GDag) -> GDag:
+    """Canonical representative of the kind-preserving isomorphism class."""
+    return _graph_of_key(canonical_key(g))
+
+
 def isomorphic(g: GDag, h: GDag) -> bool:
     return len(g.names) == len(h.names) and canonical_key(g) == canonical_key(h)
 
 
-def enumerate_gdags(n: int) -> Iterator[GDag]:
-    """All GDAGs on n nodes, one per kind-preserving isomorphism class.
+def _enumerate_classes(n: int) -> Iterator[tuple[tuple, GDag]]:
+    """(canonical key, canonical form) of every n-node isomorphism class.
 
     Every DAG relabels to one with upper-triangular adjacency, so the
     enumeration ranges over edge subsets of the triangle crossed with all
@@ -96,19 +101,25 @@ def enumerate_gdags(n: int) -> Iterator[GDag]:
                 )
                 for i in range(n)
             ]
-            g = GDag(nodes, edges)
-            key = canonical_key(g)
+            key = canonical_key(GDag(nodes, edges))
             if key not in seen:
                 seen.add(key)
-                yield canonical_form(g)
+                yield key, _graph_of_key(key)
+
+
+def enumerate_gdags(n: int) -> Iterator[GDag]:
+    """All GDAGs on n nodes, one per kind-preserving isomorphism class."""
+    for _, g in _enumerate_classes(n):
+        yield g
 
 
 class _ConditionCache:
     def __init__(self) -> None:
         self._cache: dict[tuple, bool] = {}
 
-    def holds(self, g: GDag) -> bool:
-        key = canonical_key(g)
+    def holds(self, key: tuple, g: GDag) -> bool:
+        """Does the sufficient condition hold for g, whose canonical key
+        is key?"""
         v = self._cache.get(key)
         if v is None:
             v = sufficient_condition_holds(g) is not None
@@ -137,12 +148,14 @@ def _elimination_moves(g: GDag) -> Iterator[GDag]:
                 yield g.without_edge(y, x)
 
 
-def _reducible_to_smaller_failure(g: GDag, cond: _ConditionCache) -> bool:
-    """Search reduction sequences from g for a strictly smaller
-    condition-failing graph (fewer nodes, or equal nodes and fewer
-    edges)."""
+def _reducible_to_smaller_failure(
+    key: tuple, g: GDag, cond: _ConditionCache
+) -> bool:
+    """Search reduction sequences from g, whose canonical key is key, for
+    a strictly smaller condition-failing graph (fewer nodes, or equal
+    nodes and fewer edges)."""
     start = (len(g.names), len(g.edges))
-    seen = {canonical_key(g)}
+    seen = {key}
     queue = [g]
     while queue:
         cur = queue.pop()
@@ -153,7 +166,7 @@ def _reducible_to_smaller_failure(g: GDag, cond: _ConditionCache) -> bool:
             if key in seen:
                 continue
             seen.add(key)
-            if (len(nxt.names), len(nxt.edges)) < start and not cond.holds(nxt):
+            if (len(nxt.names), len(nxt.edges)) < start and not cond.holds(key, nxt):
                 return True
             queue.append(nxt)
     return False
@@ -180,16 +193,16 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     cond = _ConditionCache()
     total = 0
     holds = 0
-    failures: list[GDag] = []
-    for i, g in enumerate(enumerate_gdags(n)):
+    failures: list[tuple[tuple, GDag]] = []
+    for i, (key, g) in enumerate(_enumerate_classes(n)):
         if progress and i and i % 2000 == 0:
             print(f"  examined {i} classes", file=sys.stderr)
         total += 1
-        if cond.holds(g):
+        if cond.holds(key, g):
             holds += 1
         else:
-            failures.append(g)
+            failures.append((key, g))
     survivors = tuple(
-        g for g in failures if not _reducible_to_smaller_failure(g, cond)
+        g for key, g in failures if not _reducible_to_smaller_failure(key, g, cond)
     )
     return CensusReport(n, total, holds, survivors)

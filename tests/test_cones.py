@@ -1,15 +1,23 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdag_lab.catalog import chain, collider, one_sided_bell_gdag
+from gdag_lab.catalog import (
+    chain,
+    collider,
+    instrumental_gdag,
+    one_sided_bell_gdag,
+)
 from gdag_lab.cones import (
     Cone,
     ConeError,
     LinIneq,
+    _rows_implies,
     derive_classical_cone,
     derive_independence_cone,
     elemental_inequalities,
@@ -17,6 +25,7 @@ from gdag_lab.cones import (
     implied_by,
     markov_constraint_rows,
 )
+from gdag_lab.linprog import nonneg_combination
 from gdag_lab.models import entropy, observed_from_classical_gmc
 
 from generators import (
@@ -262,3 +271,117 @@ def test_monogamy_not_shannon():
     assert not implied_by(mono, shannon)
     for ineq in shannon.ineqs():
         assert implied_by(ineq, shannon)
+
+
+# -- exact verification of the float LP ---------------------------------
+
+
+def _exact_answer(rows, target) -> bool:
+    return (
+        nonneg_combination(
+            [F(t) for t in target], [[F(c) for c in r] for r in rows]
+        )
+        is not None
+    )
+
+
+@st.composite
+def _small_systems(draw):
+    """Small integer rows plus a target that is a nonnegative combination
+    of them (feasible) or arbitrary (mostly infeasible)."""
+    dim = draw(st.integers(1, 4))
+    coef = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[coef] * dim), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lam = draw(
+            st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows))
+        )
+        target = tuple(
+            sum(l * r[k] for l, r in zip(lam, rows)) for k in range(dim)
+        )
+    else:
+        target = draw(st.tuples(*[coef] * dim))
+    return rows, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_systems())
+def test_rows_implies_matches_exact_lp(system):
+    rows, target = system
+    assert _rows_implies(rows, target) == _exact_answer(rows, target)
+
+
+def _solved(fun, x, marginals):
+    """What scipy.optimize.linprog returns for a successful solve."""
+    import numpy as np
+
+    return SimpleNamespace(
+        status=0,
+        fun=fun,
+        x=np.array(x, dtype=float),
+        ineqlin=SimpleNamespace(marginals=np.array(marginals, dtype=float)),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, target, proposal, answer",
+    [
+        # (-1, 0) is not implied, yet the fake LP claims optimum 0 with
+        # both rows in the support.
+        ([(1, 0), (0, 1)], (-1, 0), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), False),
+        # (1, 1) = (1, 0) + (0, 1), yet the fake LP claims optimum 1 at
+        # y = (1, 0), which violates (1, 0) . y <= 0.
+        ([(1, 0), (0, 1)], (1, 1), _solved(-1.0, [1.0, 0.0], [0.0, 0.0]), True),
+    ],
+)
+def test_wrong_proposal_is_not_trusted(rows, target, proposal, answer, monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda **kw: proposal)
+    assert _rows_implies(rows, target) == answer
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_systems(), st.data())
+def test_rows_implies_exact_under_adversarial_lp(system, data):
+    """Whatever support or Farkas vector the float LP proposes, the answer
+    equals the exact LP's."""
+    import scipy.optimize
+
+    def linprog(c, A_ub, **kw):
+        if data.draw(st.booleans(), label="claims implied"):
+            duals = st.lists(
+                st.sampled_from([0.0, -1.0]), min_size=len(A_ub), max_size=len(A_ub)
+            )
+            return _solved(0.0, [0.0] * len(c), data.draw(duals))
+        y = st.lists(
+            st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+            min_size=len(c),
+            max_size=len(c),
+        )
+        return _solved(-1.0, data.draw(y), [0.0] * len(A_ub))
+
+    rows, target = system
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "linprog", linprog)
+        assert _rows_implies(rows, target) == _exact_answer(rows, target)
+
+
+def _cone_answers(g):
+    ec = derive_classical_cone(g)
+    ei = derive_independence_cone(g)
+    implied = [implied_by(i, ei) for i in ec.ineqs()] + [
+        implied_by(i, ec) for i in ei.ineqs()
+    ]
+    return ec.to_json(), ei.to_json(), implied
+
+
+@pytest.mark.parametrize("make", [one_sided_bell_gdag, instrumental_gdag])
+def test_cones_without_scipy_match(make, monkeypatch):
+    """With scipy.optimize hidden the exact simplex decides every check,
+    and the cones and implication answers equal the SciPy run's."""
+    with_scipy = _cone_answers(make())
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(ImportError):
+        import scipy.optimize  # noqa: F401
+    assert _cone_answers(make()) == with_scipy
