@@ -40,8 +40,9 @@ class ConeError(ValueError):
     pass
 
 
-def _normalize(row: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
-    """Scale to integers with gcd 1; None for the zero row."""
+def _normalize(row: Sequence[int | Fraction]) -> Optional[tuple[int, ...]]:
+    """Scale a row of ints or Fractions to integers with gcd 1; None for
+    the zero row."""
     denom = 1
     for c in row:
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -351,11 +352,7 @@ def _eliminate_coord(
     out = list(zero)
     for p in pos:
         for q in neg:
-            combo = [
-                Fraction(-q[k]) * p[i] + Fraction(p[k]) * q[i]
-                for i in range(len(p))
-            ]
-            norm = _normalize(combo)
+            norm = _normalize([-q[k] * a + p[k] * b for a, b in zip(p, q)])
             if norm is not None:
                 out.append(norm)
     return _dedupe(out)
@@ -462,7 +459,7 @@ def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
     rows = list(cone.rows)
     for st in observable_ci_set(g):
         row = _cmi_row(size, mask_of(st.x), mask_of(st.y), mask_of(st.z), -1)
-        norm = _normalize([Fraction(c) for c in row])
+        norm = _normalize(row)
         if norm is not None:
             rows.append(norm)
     return Cone(tuple(obs), tuple(_minimize(rows)))

@@ -14,40 +14,62 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .graph import GDag, NodeKind
+from .graph import GDag, NodeKind, _bits
 from .classify import applicable_reductions, apply_reduction, sufficient_condition_holds
 
 #: Node names used for generated graphs, shortest first.
 _NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _key_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> tuple:
+    """Canonical key of the graph with node kinds ``kinds`` (0 observed,
+    1 unobserved) and children ``child_mask[v]`` of each node v.
+
+    The key is the minimum, over node relabellings, of the pair (kind
+    vector, adjacency bits read row-major).  Kinds lead the pair, so only
+    relabellings that put every observed node before every unobserved one
+    reach the minimal kind vector; the search tries just those.  Each
+    candidate is scored as one int holding the bits most significant
+    first, which orders candidates as the bits tuples do.
+    """
+    n = len(kinds)
+    observed = [v for v in range(n) if not kinds[v]]
+    unobserved = [v for v in range(n) if kinds[v]]
+    edges = [(v, w) for v in range(n) for w in _bits(child_mask[v])]
+    top = n * n - 1
+    k = len(observed)
+    at = [0] * n
+    best: Optional[int] = None
+    for obs_at in permutations(range(k)):
+        for v, a in zip(observed, obs_at):
+            at[v] = a
+        for unobs_at in permutations(range(k, n)):
+            for v, a in zip(unobserved, unobs_at):
+                at[v] = a
+            score = 0
+            for v, w in edges:
+                score |= 1 << (top - n * at[v] - at[w])
+            if best is None or score < best:
+                best = score
+    return (0,) * k + (1,) * (n - k), tuple(
+        (best >> (top - i)) & 1 for i in range(n * n)
+    )
+
+
 def canonical_key(g: GDag) -> tuple:
     """A total invariant of kind-preserving isomorphism.
 
-    Minimizes, over all node permutations, the pair (kind vector,
-    adjacency bits read row-major).  Kinds lead the encoding, so only
-    kind-preserving permutations compete for the minimum.
+    The minimum, over all node permutations, of the pair (kind vector,
+    adjacency bits read row-major).  Only the permutations that sort
+    observed nodes before unobserved ones can reach the minimal kind
+    vector, so only those are searched; the key is the same as over all
+    n! permutations.
     """
-    n = len(g.names)
-    kinds = tuple(0 if k is NodeKind.OBSERVED else 1 for k in g.kinds)
-    adj = [g.child_mask[i] for i in range(n)]
-    best: Optional[tuple] = None
-    for perm in permutations(range(n)):
-        kv = tuple(kinds[p] for p in perm)
-        if best is not None and kv > best[0]:
-            continue
-        pos = [0] * n
-        for new, old in enumerate(perm):
-            pos[old] = new
-        bits = tuple(
-            (adj[perm[i]] >> perm[j]) & 1 for i in range(n) for j in range(n)
-        )
-        key = (kv, bits)
-        if best is None or key < best:
-            best = key
-    return best
+    return _key_of_masks(
+        [0 if k is NodeKind.OBSERVED else 1 for k in g.kinds], g.child_mask
+    )
 
 
 def _graph_of_key(key: tuple) -> GDag:
@@ -81,27 +103,21 @@ def _enumerate_classes(n: int) -> Iterator[tuple[tuple, GDag]]:
 
     Every DAG relabels to one with upper-triangular adjacency, so the
     enumeration ranges over edge subsets of the triangle crossed with all
-    kind vectors, deduplicated by canonical key.
+    kind vectors, deduplicated by canonical key.  Keys are computed from
+    child masks; a GDag is built only for each class yielded.
     """
     if n < 1:
         raise ValueError("n must be positive")
     pairs = list(combinations(range(n), 2))
     seen: set[tuple] = set()
     for edge_bits in range(1 << len(pairs)):
-        edges = [
-            (_NAMES[i], _NAMES[j])
-            for k, (i, j) in enumerate(pairs)
-            if (edge_bits >> k) & 1
-        ]
+        child_mask = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if (edge_bits >> k) & 1:
+                child_mask[i] |= 1 << j
         for kind_bits in range(1 << n):
-            nodes = [
-                (
-                    _NAMES[i],
-                    NodeKind.UNOBSERVED if (kind_bits >> i) & 1 else NodeKind.OBSERVED,
-                )
-                for i in range(n)
-            ]
-            key = canonical_key(GDag(nodes, edges))
+            kinds = [(kind_bits >> i) & 1 for i in range(n)]
+            key = _key_of_masks(kinds, child_mask)
             if key not in seen:
                 seen.add(key)
                 yield key, _graph_of_key(key)

@@ -4,11 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
 
-from gdag_lab.graph import GDag
+from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.linprog import _phase1
+
+
+def canonical_key_oracle(g: GDag) -> tuple:
+    """Kind-preserving canonical key by brute force: the minimum, over
+    all n! node permutations, of the pair (kind vector, adjacency bits
+    read row-major)."""
+    n = len(g.names)
+    kinds = tuple(0 if k is NodeKind.OBSERVED else 1 for k in g.kinds)
+    adj = g.child_mask
+    return min(
+        (
+            tuple(kinds[p] for p in perm),
+            tuple((adj[perm[i]] >> perm[j]) & 1 for i in range(n) for j in range(n)),
+        )
+        for perm in permutations(range(n))
+    )
 
 
 def dsep_moral_oracle(g: GDag, x, y, z) -> bool:

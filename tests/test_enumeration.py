@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
 from gdag_lab.enumeration import (
     CensusReport,
+    _enumerate_classes,
+    _key_of_masks,
     canonical_form,
     canonical_key,
     classification_census,
@@ -15,6 +19,7 @@ from gdag_lab.enumeration import (
 from gdag_lab.graph import GDag, NodeKind
 
 from generators import random_gdag
+from oracles import canonical_key_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -29,6 +34,68 @@ def _permuted(g: GDag, rng: Random) -> GDag:
     nodes = [(new[i], g.kinds[i]) for i in order]
     edges = [(rename[a], rename[b]) for a, b in g.edges]
     return GDag(nodes, edges)
+
+
+def _kind(bit: int) -> NodeKind:
+    return UNOBS if bit else OBS
+
+
+def test_canonical_key_small_pinned():
+    assert canonical_key(GDag([])) == ((), ())
+    assert canonical_key(GDag([("A", OBS)])) == ((0,), (0,))
+    assert canonical_key(GDag([("A", UNOBS)])) == ((1,), (0,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_key_matches_oracle_on_labelled_scan(n):
+    """Every labelled graph of the census scan (upper-triangular edge
+    subsets crossed with kind vectors) gets the brute-force key, and the
+    classes come out in the scan's first-occurrence order."""
+    names = "ABCD"[:n]
+    pairs = list(combinations(range(n), 2))
+    first_seen: dict[tuple, None] = {}
+    for edge_bits in range(1 << len(pairs)):
+        edges = [
+            (names[i], names[j])
+            for k, (i, j) in enumerate(pairs)
+            if (edge_bits >> k) & 1
+        ]
+        for kind_bits in range(1 << n):
+            kinds = [(kind_bits >> i) & 1 for i in range(n)]
+            g = GDag([(names[i], _kind(kinds[i])) for i in range(n)], edges)
+            expected = canonical_key_oracle(g)
+            assert canonical_key(g) == expected
+            assert _key_of_masks(kinds, g.child_mask) == expected
+            first_seen.setdefault(expected, None)
+    assert [key for key, _ in _enumerate_classes(n)] == list(first_seen)
+
+
+@st.composite
+def _gdag_and_relabelling(draw):
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = list(combinations(range(n), 2))
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    names = "ABCDEF"[:n]
+    edges = [(names[i], names[j]) for (i, j), f in zip(pairs, flags) if f]
+    g = GDag([(names[i], _kind(kinds[i])) for i in range(n)], edges)
+    order = draw(st.permutations(range(n)))
+    rename = {names[old]: "uvwxyz"[new] for new, old in enumerate(order)}
+    h = GDag(
+        [(rename[names[old]], _kind(kinds[old])) for old in order],
+        [(rename[a], rename[b]) for a, b in edges],
+    )
+    return g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gdag_and_relabelling())
+def test_canonical_key_matches_oracle_random(pair):
+    g, h = pair
+    expected = canonical_key_oracle(g)
+    assert canonical_key(g) == expected
+    assert canonical_key_oracle(h) == expected
+    assert canonical_key(h) == expected
 
 
 def test_isomorphic_basics():
@@ -86,6 +153,28 @@ def test_enumeration_yields_canonical_distinct():
 def test_enumeration_covers_catalog():
     keys4 = {canonical_key(g) for g in enumerate_gdags(4)}
     assert canonical_key(instrumental_gdag()) in keys4
+
+
+@pytest.fixture(scope="module")
+def latent_histograms():
+    """For n = 1..5, the number of classes by count of unobserved nodes."""
+    hists = {}
+    for n in range(1, 6):
+        counts = Counter(len(g.unobserved_nodes()) for g in enumerate_gdags(n))
+        hists[n] = [counts[k] for k in range(n + 1)]
+    return hists
+
+
+def test_all_observed_slice_is_oeis_a003087(latent_histograms):
+    # unlabelled DAGs on n nodes
+    assert [latent_histograms[n][0] for n in range(1, 6)] == [1, 2, 6, 31, 302]
+
+
+def test_latent_histogram_kind_swap_symmetric(latent_histograms):
+    assert latent_histograms[5] == [302, 1372, 2640, 2640, 1372, 302]
+    for n, hist in latent_histograms.items():
+        assert sum(hist) == [2, 7, 40, 420, 8628][n - 1]
+        assert hist == hist[::-1]
 
 
 def test_census_n1_n2():
