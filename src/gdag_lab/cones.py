@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import GDag, NodeKind, _bits
 from .dsep import observable_ci_set
@@ -255,8 +255,7 @@ def _exact_implies(
 ) -> bool:
     coords = _active_coords(rows, target)
     lam = nonneg_combination(
-        [Fraction(target[k]) for k in coords],
-        [[Fraction(r[k]) for k in coords] for r in rows],
+        [target[k] for k in coords], [[r[k] for k in coords] for r in rows]
     )
     return lam is not None
 
@@ -325,11 +324,22 @@ def _rows_implies(
     return _exact_implies(rows, target) if answer is None else answer
 
 
-def _minimize(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop rows implied by the remaining ones (greedy, deterministic)."""
+def _minimize(
+    rows: list[tuple[int, ...]], irredundant: Collection[tuple[int, ...]] = ()
+) -> list[tuple[int, ...]]:
+    """Drop rows implied by the remaining ones (greedy, deterministic).
+
+    Rows in ``irredundant`` are kept without an LP.  After a
+    Fourier-Motzkin step these are the rows the step carried from an
+    already minimised set: every other new row is a nonnegative
+    combination of that set without r, so the Farkas vector that
+    refuted r there still refutes it, and the greedy would keep r too.
+    """
     rows = sorted(_dedupe(rows))
     keep = list(rows)
     for r in rows:
+        if r in irredundant:
+            continue
         rest = [q for q in keep if q != r]
         if rest and _rows_implies(rest, r):
             keep = rest
@@ -424,9 +434,12 @@ def derive_classical_cone(
     size = (1 << len(g.names)) - 1
     latent_coords = [m for m in range(1, size + 1) if m & unobs_mask]
     latent_coords.sort(key=lambda m: (bin(m).count("1"), m))
+    # rows already proved irredundant; the first step's input never was
+    kept: frozenset[tuple[int, ...]] = frozenset()
     for step, m in enumerate(latent_coords):
         rows = _eliminate_coord(rows, m - 1)
-        rows = _minimize(rows)
+        rows = _minimize(rows, kept)
+        kept = frozenset(rows)
         if progress:
             import sys
 
@@ -436,7 +449,9 @@ def derive_classical_cone(
                 file=sys.stderr,
             )
     projected = _restrict(Cone(g.names, tuple(rows)), g.observed_nodes())
-    return Cone(projected.variables, tuple(_minimize(list(projected.rows))))
+    # restriction renames coordinates only, so kept rows stay irredundant
+    kept = frozenset(projected.rows) if latent_coords else frozenset()
+    return Cone(projected.variables, tuple(_minimize(list(projected.rows), kept)))
 
 
 def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:

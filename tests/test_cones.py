@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdag_lab import cones
 from gdag_lab.catalog import (
+    bell_gdag,
     chain,
     collider,
     instrumental_gdag,
@@ -385,3 +387,37 @@ def test_cones_without_scipy_match(make, monkeypatch):
     with pytest.raises(ImportError):
         import scipy.optimize  # noqa: F401
     assert _cone_answers(make()) == with_scipy
+
+
+# -- rows carried across Fourier-Motzkin steps ---------------------------
+
+
+@pytest.mark.parametrize("make", [bell_gdag, one_sided_bell_gdag, instrumental_gdag])
+def test_carried_rows_match_full_minimisation(make, monkeypatch):
+    """Minimising every row at every step, carried ones included, gives
+    the same rows in the same order."""
+    carried = derive_classical_cone(make())
+    full = cones._minimize
+    monkeypatch.setattr(cones, "_minimize", lambda rows, irredundant=(): full(rows))
+    assert derive_classical_cone(make()).rows == carried.rows
+
+
+@pytest.mark.parametrize("make", [one_sided_bell_gdag, instrumental_gdag])
+def test_carried_rows_not_implied(make, monkeypatch):
+    """Every row a step keeps without an LP is, exactly, not implied by
+    the other rows of that step."""
+    steps = []
+    full = cones._minimize
+
+    def spy(rows, irredundant=()):
+        steps.append((rows, irredundant))
+        return full(rows, irredundant)
+
+    monkeypatch.setattr(cones, "_minimize", spy)
+    derive_classical_cone(make())
+    checked = 0
+    for rows, irredundant in steps:
+        for r in set(rows) & set(irredundant):
+            assert not cones._exact_implies([q for q in rows if q != r], r)
+            checked += 1
+    assert checked > 0
