@@ -86,14 +86,15 @@ def _unobs_reachable(g: GDag, a: int) -> int:
 
 def apply_transformation(g: GDag, t: Transformation) -> GDag:
     """Apply one transformation, checking its precondition."""
+    for n in getattr(t, "__dict__", {}).values():
+        if n not in g.index:
+            raise TransformError(f"unknown node {n!r}")
     if isinstance(t, RemoveEdge):
         if (t.a, t.b) not in g.edges:
             raise TransformError(f"no edge ({t.a!r}, {t.b!r}) to remove")
         return g.without_edge(t.a, t.b)
 
     if isinstance(t, RemoveIsolatedUnobserved):
-        if t.n not in g.index:
-            raise TransformError(f"unknown node {t.n!r}")
         if g.is_observed(t.n):
             raise TransformError(f"{t.n!r} is observed")
         if g.parents(t.n) or g.children(t.n):
@@ -128,23 +129,28 @@ def apply_transformation(g: GDag, t: Transformation) -> GDag:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A replayable transformation sequence ending in an all-observed DAG
+    """A transformation sequence from ``source`` to an all-observed DAG
     that needs no extra observable independences; proves C = I."""
 
     source: GDag
     steps: tuple[Transformation, ...]
-    final: GDag
 
-    def replay(self) -> GDag:
+    @property
+    def final(self) -> GDag:
+        """The graph the steps reach, replayed and checked on every read."""
         g = self.source
         for t in self.steps:
             g = apply_transformation(g, t)
         return g
 
     def verify(self) -> bool:
-        if any(k is NodeKind.UNOBSERVED for k in self.final.kinds):
+        try:
+            final = self.final
+        except TransformError:
             return False
-        return self.replay() == self.final and ci_subset(self.final, self.source)
+        if any(k is NodeKind.UNOBSERVED for k in final.kinds):
+            return False
+        return ci_subset(final, self.source)
 
     def to_json(self) -> str:
         steps = [
@@ -160,40 +166,34 @@ class Certificate:
 # -- the certificate search over orderings and root assignments ---------
 
 
-def _closure_step_list(g: GDag) -> tuple[GDag, list[Transformation]]:
-    """Maximal application of the unobserved-path edge addition."""
+def _closure(g: GDag) -> tuple[list[int], list[Transformation]]:
+    """Maximal application of the unobserved-path edge addition: closed
+    parent masks and the added steps.  One pass suffices, as an added
+    a -> b changes no node's reach through unobserved nodes."""
+    par = list(g.parent_mask)
     steps: list[Transformation] = []
-    changed = True
-    while changed:
-        changed = False
-        for a in g.names:
-            reach = _unobs_reachable(g, g.index[a])
-            for ib in _bits(reach & ~g.child_mask[g.index[a]]):
-                b = g.names[ib]
-                if a == b:
-                    continue
-                t = AddEdgeUnobservedPath(a, b)
-                g = apply_transformation(g, t)
-                steps.append(t)
-                changed = True
-    return g, steps
+    for a in range(len(g.names)):
+        for b in _bits(_unobs_reachable(g, a) & ~g.child_mask[a]):
+            par[b] |= 1 << a
+            steps.append(AddEdgeUnobservedPath(g.names[a], g.names[b]))
+    return par, steps
 
 
 def _simulate_branch(
-    g1: GDag, order: tuple[int, ...], roots: tuple[int, ...],
+    g: GDag, par: list[int], order: tuple[int, ...], roots: tuple[int, ...],
     steps: Optional[list[Transformation]] = None,
 ) -> tuple[int, ...]:
-    """Simulate one branch on parent bitmasks; return the final parent
-    masks restricted to observed nodes (original index space).
+    """Simulate one branch on the closed parent masks ``par`` of ``g``;
+    return the final parent masks restricted to observed nodes.
 
     When ``steps`` is given, the branch's transformations are appended to
     it: each tricky node's parent removals and parent-subset additions,
     then the removal of every edge touching a latent and of every latent
     node, each group in ascending node index.
     """
-    names = g1.names
-    par = list(g1.parent_mask)
-    unobs = g1.all_mask & ~g1.observed_mask
+    names = g.names
+    par = list(par)
+    unobs = g.all_mask & ~g.observed_mask
     for i, t in enumerate(order):
         later = 0
         for j in order[i + 1:]:
@@ -233,51 +233,46 @@ def _simulate_branch(
                 pm &= unobs
             steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
         steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
-    return tuple(par[i] & g1.observed_mask for i in _bits(g1.observed_mask))
+    return tuple(par[i] & g.observed_mask for i in _bits(g.observed_mask))
 
 
 def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
     """Search every ordering/root-assignment branch; return the first
     certificate found (deterministic order) or None."""
-    g1, step1 = _closure_step_list(g)
-    unobs = g1.all_mask & ~g1.observed_mask
+    par, step1 = _closure(g)
+    unobs = g.all_mask & ~g.observed_mask
     tricky = [
         i
-        for i in range(len(g1.names))
-        if (g1.observed_mask >> i) & 1 and g1.parent_mask[i] & unobs
+        for i in range(len(g.names))
+        if (g.observed_mask >> i) & 1 and par[i] & unobs
     ]
     root_set = [
         i
-        for i in range(len(g1.names))
-        if not (g1.observed_mask >> i) & 1 and not g1.parent_mask[i] & unobs
+        for i in range(len(g.names))
+        if not (g.observed_mask >> i) & 1 and not par[i] & unobs
     ]
-    candidates = {
-        t: [r for r in root_set if (g1.child_mask[r] >> t) & 1] for t in tricky
-    }
+    candidates = {t: [r for r in root_set if (par[t] >> r) & 1] for t in tricky}
 
-    observed = [(n, NodeKind.OBSERVED) for n in g1.observed_nodes()]
+    observed = [(n, NodeKind.OBSERVED) for n in g.observed_nodes()]
     tried: dict[tuple[int, ...], bool] = {}
     for order in permutations(tricky):
         pools = [candidates[t] for t in order]
         if any(not p for p in pools):
             continue
         for roots in product(*pools):
-            final_par = _simulate_branch(g1, order, roots)
+            final_par = _simulate_branch(g, par, order, roots)
             ok = tried.get(final_par)
             if ok is None:
                 h = GDag(observed, [
-                    (g1.names[p], name)
+                    (g.names[p], name)
                     for (name, _), pm in zip(observed, final_par)
                     for p in _bits(pm)
                 ])
                 ok = tried[final_par] = ci_subset(h, g)
             if ok:
                 steps = list(step1)
-                _simulate_branch(g1, order, roots, steps)
-                final = g
-                for t in steps:
-                    final = apply_transformation(final, t)
-                return Certificate(g, tuple(steps), final)
+                _simulate_branch(g, par, order, roots, steps)
+                return Certificate(g, tuple(steps))
     return None
 
 
@@ -367,9 +362,10 @@ def _component_of(g: GDag, n: str) -> frozenset[str]:
 
 def apply_reduction(g: GDag, r: ReductionRule) -> GDag:
     """Apply one reduction rule, checking its precondition."""
+    for n in getattr(r, "__dict__", {}).values():
+        if n not in g.index:
+            raise TransformError(f"unknown node {n!r}")
     if isinstance(r, DropDisconnectedComponent):
-        if r.node not in g.index:
-            raise TransformError(f"unknown node {r.node!r}")
         comp = _component_of(g, r.node)
         if len(comp) == len(g.names):
             raise TransformError("graph is connected")

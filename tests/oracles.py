@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
 
+from gdag_lab.classify import AddEdgeUnobservedPath, apply_transformation
 from gdag_lab.graph import GDag, NodeKind
 
 
@@ -113,6 +114,36 @@ def dsep_path_oracle(g: GDag, x, y, z) -> bool:
         if extend([s]):
             return False
     return True
+
+
+def closure_oracle(g: GDag) -> tuple[GDag, list[AddEdgeUnobservedPath]]:
+    """Add a -> b wherever a directed path a to b through unobserved
+    intermediates exists, sweeping the nodes in declaration order until
+    a sweep adds nothing; one ``GDag`` per added edge.  The reference for
+    the one-pass mask closure of the certificate search."""
+
+    def reach(g: GDag, a: str) -> set[str]:
+        seen: set[str] = set()
+        stack = [a]
+        while stack:
+            for c in g.children(stack.pop()):
+                if c not in seen:
+                    seen.add(c)
+                    if not g.is_observed(c):
+                        stack.append(c)
+        return seen
+
+    steps: list[AddEdgeUnobservedPath] = []
+    changed = True
+    while changed:
+        changed = False
+        for a in g.names:
+            for b in sorted(reach(g, a) - g.children(a), key=g.index.__getitem__):
+                t = AddEdgeUnobservedPath(a, b)
+                g = apply_transformation(g, t)
+                steps.append(t)
+                changed = True
+    return g, steps
 
 
 def all_observed_triples(g: GDag):

@@ -202,7 +202,6 @@ def test_certificates_replay_and_verify():
         cert = sufficient_condition_holds(g)
         if cert is None:
             continue
-        assert cert.replay() == cert.final
         assert cert.verify()
         assert all(k is NodeKind.OBSERVED for k in cert.final.kinds)
         found += 1

@@ -11,6 +11,7 @@ from gdag_lab.catalog import (
     one_sided_bell_gdag,
     triangle_gdag,
 )
+from gdag_lab import classify
 from gdag_lab.classify import (
     AbsorbDominatedUnobserved,
     AddEdgeParentSubset,
@@ -26,6 +27,7 @@ from gdag_lab.classify import (
     RemoveEdge,
     RemoveIsolatedUnobserved,
     TransformError,
+    _closure,
     apply_reduction,
     apply_transformation,
     applicable_reductions,
@@ -37,6 +39,7 @@ from gdag_lab.dsep import ci_subset, observable_ci_set
 from gdag_lab.graph import GDag, NodeKind
 
 from generators import random_gdag
+from oracles import closure_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -135,10 +138,53 @@ def test_condition_fails_on_known_gaps():
 
 def test_certificate_tampering_detected():
     cert = sufficient_condition_holds(one_sided_bell_gdag())
-    bad = Certificate(cert.source, cert.steps, bell_gdag())
+    bad = Certificate(cert.source, cert.steps[:-1])
     assert not bad.verify()
-    bad2 = Certificate(cert.source, cert.steps[:-1], cert.final)
-    assert not bad2.verify()
+
+
+def test_verify_false_on_inapplicable_step():
+    cert = sufficient_condition_holds(one_sided_bell_gdag())
+    bad = Certificate(cert.source, tuple(t for t in cert.steps if t != RemoveEdge("L", "A")))
+    with pytest.raises(TransformError, match="not isolated"):
+        bad.final
+    assert bad.verify() is False
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        one_sided_bell_gdag(),
+        GDag([("A", OBS), ("M", UNOBS), ("B", OBS)], [("A", "M"), ("M", "B")]),
+        GDag(
+            [("L", UNOBS), ("M", UNOBS), ("A", OBS), ("B", OBS), ("C", OBS)],
+            [("L", "M"), ("L", "A"), ("M", "B"), ("M", "C"), ("A", "C")],
+        ),
+    ],
+    ids=["one-sided-bell", "latent-mediator", "latent-chain"],
+)
+def test_search_applies_no_transformation(g, monkeypatch):
+    """The search builds its steps on parent masks; the graphs they reach
+    are built only when a certificate's final graph is read."""
+
+    def refuse(g, t):
+        raise AssertionError(f"apply_transformation({t!r}) during the search")
+
+    with monkeypatch.context() as m:
+        m.setattr(classify, "apply_transformation", refuse)
+        cert = sufficient_condition_holds(g)
+    assert cert is not None
+    assert cert.verify()
+    assert set(cert.final.names) == set(g.observed_nodes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([0.35, 0.6]))
+def test_closure_matches_fixpoint_oracle(seed, p_unobserved):
+    g = random_gdag(Random(seed), max_nodes=7, p_unobserved=p_unobserved)
+    par, steps = _closure(g)
+    closed, oracle_steps = closure_oracle(g)
+    assert steps == oracle_steps
+    assert tuple(par) == closed.parent_mask
 
 
 def test_single_latent_common_cause():
@@ -159,11 +205,40 @@ def test_condition_certificates_verify_random(seed):
         return
     assert cert.source == g
     assert cert.verify()
-    assert cert.replay() == cert.final
     assert all(k is OBS for k in cert.final.kinds)
 
 
 # -- reduction rules ----------------------------------------------------
+
+
+UNKNOWN_NODE_TRANSFORMATIONS = [
+    RemoveEdge("nope", "A"),
+    RemoveEdge("X", "nope"),
+    RemoveIsolatedUnobserved("nope"),
+    AddEdgeUnobservedPath("nope", "A"),
+    AddEdgeUnobservedPath("A", "nope"),
+    AddEdgeParentSubset("nope", "A"),
+    AddEdgeParentSubset("A", "nope"),
+]
+UNKNOWN_NODE_RULES = [
+    DropDisconnectedComponent("nope"),
+    DropChildlessUnobserved("nope"),
+    MergeUnobservedIntoUnobservedParent("nope"),
+    DropOneOutcomeObserved("nope"),
+    DropRedundantObservedEdge("nope", "A"),
+    DropRedundantObservedEdge("X", "nope"),
+    AbsorbDominatedUnobserved("nope", "L"),
+    AbsorbDominatedUnobserved("L", "nope"),
+    MergeUnobservedIntoSoleChild("nope"),
+    MergeObservedIntoParentlessUnobservedParent("nope"),
+]
+
+
+@pytest.mark.parametrize("op", UNKNOWN_NODE_TRANSFORMATIONS + UNKNOWN_NODE_RULES, ids=repr)
+def test_unknown_node_raises_transform_error(op):
+    apply = apply_transformation if op in UNKNOWN_NODE_TRANSFORMATIONS else apply_reduction
+    with pytest.raises(TransformError, match="unknown node 'nope'"):
+        apply(one_sided_bell_gdag(), op)
 
 
 def test_drop_disconnected_component():
