@@ -3,10 +3,12 @@ search for the C = I sufficient condition, and reduction rules.
 
 The sufficient condition holds for a GDAG when some sequence of the four
 transformations reaches an all-observed DAG requiring no extra observable
-conditional independences.  The search enumerates every ordering of the
-"tricky" observed nodes (those with unobserved parents) paired with every
-choice of root unobserved node feeding each, which is complete for the
-condition.
+conditional independences.  The search places the "tricky" observed nodes
+(those with unobserved parents) one at a time, each with a root
+unobserved node feeding it; every ordering paired with every root choice
+is complete for the condition.  Existence is decided on placement
+states, which many orderings share; the ordered loop over branches runs
+only when a state wins, to pick the first winning branch.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .graph import GDag, NodeKind, _bits
 from .dsep import ci_subset
@@ -179,66 +181,135 @@ def _closure(g: GDag) -> tuple[list[int], list[Transformation]]:
     return par, steps
 
 
+def _place(
+    par: list[int], t: int, root: int, later: Sequence[int], unobs: int,
+    names: Optional[tuple[str, ...]] = None,
+    steps: Optional[list[Transformation]] = None,
+) -> None:
+    """Place tricky node ``t`` with its chosen ``root``, updating the
+    parent masks ``par`` in place; ``later`` lists the tricky nodes not
+    yet placed.
+
+    ``t`` loses every parent in ``later`` and every unobserved parent but
+    ``root``.  Then each ``j`` in ``later``, in the given order, gains the
+    edge t -> j when Pa(t) is a subset of Pa(j) and j is not an ancestor
+    of t; the rule's unobserved parent is ``root``.  Only the masks of
+    ``t`` and of ``later`` change.  When ``steps`` is given, the removals
+    (ascending parent index) and the additions are appended to it.
+    """
+    later_mask = 0
+    for j in later:
+        later_mask |= 1 << j
+    drop = par[t] & (later_mask | (unobs & ~(1 << root)))
+    pt = par[t] = par[t] & ~drop
+    if steps is not None:
+        steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
+    # Adding t -> j changes no ancestor of t, so one walk serves every j.
+    anc = -1
+    for j in later:
+        if (par[j] >> t) & 1 or pt & ~par[j]:
+            continue
+        if anc < 0:
+            anc = 0
+            frontier = pt
+            while frontier:
+                anc |= frontier
+                new = 0
+                for k in _bits(frontier):
+                    new |= par[k]
+                frontier = new & ~anc
+        if (anc >> j) & 1:
+            continue
+        par[j] |= 1 << t
+        if steps is not None:
+            steps.append(AddEdgeParentSubset(names[t], names[j]))
+
+
 def _simulate_branch(
     g: GDag, par: list[int], order: tuple[int, ...], roots: tuple[int, ...],
     steps: Optional[list[Transformation]] = None,
-) -> tuple[int, ...]:
+) -> list[int]:
     """Simulate one branch on the closed parent masks ``par`` of ``g``;
-    return the final parent masks restricted to observed nodes.
+    return the parent masks it reaches.
 
     When ``steps`` is given, the branch's transformations are appended to
     it: each tricky node's parent removals and parent-subset additions,
     then the removal of every edge touching a latent and of every latent
     node, each group in ascending node index.
     """
-    names = g.names
     par = list(par)
     unobs = g.all_mask & ~g.observed_mask
     for i, t in enumerate(order):
-        later = 0
-        for j in order[i + 1:]:
-            later |= 1 << j
-        drop = par[t] & (later | (unobs & ~(1 << roots[i])))
-        par[t] &= ~drop
-        if steps is not None:
-            steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
-        for j in order[i + 1:]:
-            if (par[j] >> t) & 1:
-                continue
-            if par[t] & ~par[j]:
-                continue
-            if not par[t] & unobs:
-                continue
-            # cycle check: t must not be a descendant of j under current edges
-            seen = 1 << t
-            frontier = par[t]
-            hit = False
-            while frontier:
-                if (frontier >> j) & 1:
-                    hit = True
-                    break
-                seen |= frontier
-                new = 0
-                for k in _bits(frontier):
-                    new |= par[k]
-                frontier = new & ~seen
-            if hit:
-                continue
-            par[j] |= 1 << t
-            if steps is not None:
-                steps.append(AddEdgeParentSubset(names[t], names[j]))
+        _place(par, t, roots[i], order[i + 1:], unobs, g.names, steps)
     if steps is not None:
+        names = g.names
         for c, pm in enumerate(par):
             if not (unobs >> c) & 1:
                 pm &= unobs
             steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
         steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
-    return tuple(par[i] & g.observed_mask for i in _bits(g.observed_mask))
+    return par
+
+
+def _passes(g: GDag, par: list[int], tried: dict[tuple[int, ...], bool]) -> bool:
+    """Whether the all-observed graph left by the parent masks ``par``
+    needs no observable independence that ``g`` lacks; answers are
+    cached in ``tried`` by the observed nodes' observed-parent masks."""
+    final_par = tuple(par[i] & g.observed_mask for i in _bits(g.observed_mask))
+    ok = tried.get(final_par)
+    if ok is None:
+        observed = [(n, NodeKind.OBSERVED) for n in g.observed_nodes()]
+        h = GDag(observed, [
+            (g.names[p], name)
+            for (name, _), pm in zip(observed, final_par)
+            for p in _bits(pm)
+        ])
+        ok = tried[final_par] = ci_subset(h, g)
+    return ok
+
+
+def _winnable(
+    g: GDag, par: list[int], left: int, tricky: list[int],
+    candidates: dict[int, list[int]], failed: set[int],
+    tried: dict[tuple[int, ...], bool],
+) -> bool:
+    """Whether some placement of the unplaced tricky nodes ``left`` (a
+    mask), from the parent masks ``par``, reaches a final graph that
+    passes.  The state is ``left`` plus the tricky nodes' masks, as no
+    step changes another mask; states that cannot win go into
+    ``failed``, keyed by one packed int."""
+    if not left:
+        return _passes(g, par, tried)
+    n = len(par)
+    key, shift = left, n
+    for t in tricky:
+        key |= par[t] << shift
+        shift += n
+    if key in failed:
+        return False
+    unobs = g.all_mask & ~g.observed_mask
+    for t in _bits(left):
+        rest = left & ~(1 << t)
+        later = tuple(_bits(rest))
+        for r in candidates[t]:
+            nxt = list(par)
+            _place(nxt, t, r, later, unobs)
+            if _winnable(g, nxt, rest, tricky, candidates, failed, tried):
+                return True
+    failed.add(key)
+    return False
 
 
 def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
-    """Search every ordering/root-assignment branch; return the first
-    certificate found (deterministic order) or None."""
+    """Return a certificate for the C = I condition, or None.
+
+    Existence is decided on placement states rather than branches: a
+    depth-first search over (unplaced tricky nodes, tricky parent masks)
+    that never revisits a failed state.  Only when some state wins does
+    the ordered loop over every ordering/root-assignment branch run, to
+    pick the first winning branch in its deterministic order; the two
+    passes share the cache of tested final graphs.
+    """
     par, step1 = _closure(g)
     unobs = g.all_mask & ~g.observed_mask
     tricky = [
@@ -253,27 +324,17 @@ def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
     ]
     candidates = {t: [r for r in root_set if (par[t] >> r) & 1] for t in tricky}
 
-    observed = [(n, NodeKind.OBSERVED) for n in g.observed_nodes()]
     tried: dict[tuple[int, ...], bool] = {}
+    left = sum(1 << t for t in tricky)
+    if not _winnable(g, par, left, tricky, candidates, set(), tried):
+        return None
     for order in permutations(tricky):
-        pools = [candidates[t] for t in order]
-        if any(not p for p in pools):
-            continue
-        for roots in product(*pools):
-            final_par = _simulate_branch(g, par, order, roots)
-            ok = tried.get(final_par)
-            if ok is None:
-                h = GDag(observed, [
-                    (g.names[p], name)
-                    for (name, _), pm in zip(observed, final_par)
-                    for p in _bits(pm)
-                ])
-                ok = tried[final_par] = ci_subset(h, g)
-            if ok:
+        for roots in product(*(candidates[t] for t in order)):
+            if _passes(g, _simulate_branch(g, par, order, roots), tried):
                 steps = list(step1)
                 _simulate_branch(g, par, order, roots, steps)
                 return Certificate(g, tuple(steps))
-    return None
+    raise AssertionError("a winning state has no winning branch")
 
 
 # -- reduction rules ----------------------------------------------------

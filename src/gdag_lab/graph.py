@@ -51,20 +51,23 @@ class GDag:
         nodes: Sequence[tuple[str, NodeKind]],
         edges: Iterable[tuple[str, str]] = (),
     ):
+        # Tuples are built from lists: ``tuple(genexpr)`` starts at 10
+        # slots and resizes, so its tuples come from fresh memory yet die
+        # onto CPython's per-size free lists, which never shrink.
         self.nodes: tuple[tuple[str, NodeKind], ...] = tuple(
-            (str(n), NodeKind(k)) for n, k in nodes
+            [(str(n), NodeKind(k)) for n, k in nodes]
         )
         self.edges: tuple[tuple[str, str], ...] = tuple(
-            (str(a), str(b)) for a, b in edges
+            [(str(a), str(b)) for a, b in edges]
         )
-        names = tuple(n for n, _ in self.nodes)
+        names = tuple([n for n, _ in self.nodes])
         if len(set(names)) != len(names):
             raise GraphError("duplicate node id")
         for n in names:
             if not n or any(c.isspace() for c in n):
                 raise GraphError(f"bad node id {n!r}")
         self.names = names
-        self.kinds = tuple(k for _, k in self.nodes)
+        self.kinds = tuple([k for _, k in self.nodes])
         self.index = {n: i for i, n in enumerate(names)}
 
         n = len(names)
@@ -206,13 +209,13 @@ class GDag:
     def without_edge(self, a: str, b: str) -> "GDag":
         if (a, b) not in self.edges:
             raise GraphError(f"no edge ({a!r}, {b!r})")
-        return GDag(self.nodes, tuple(e for e in self.edges if e != (a, b)))
+        return GDag(self.nodes, tuple([e for e in self.edges if e != (a, b)]))
 
     def without_nodes(self, drop: Iterable[str]) -> "GDag":
         gone = set(drop)
         return GDag(
-            tuple(nk for nk in self.nodes if nk[0] not in gone),
-            tuple(e for e in self.edges if e[0] not in gone and e[1] not in gone),
+            tuple([nk for nk in self.nodes if nk[0] not in gone]),
+            tuple([e for e in self.edges if e[0] not in gone and e[1] not in gone]),
         )
 
     # -- serialization -------------------------------------------------

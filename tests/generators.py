@@ -52,6 +52,20 @@ def random_gdag(
     return GDag(list(zip(names, kinds)), edges)
 
 
+def latent_chain(k: int, observed_links: bool) -> GDag:
+    """Observed O0..O{k-1}; latent L{i} feeds O{i} and O{i+1}; with
+    ``observed_links`` the observed nodes also form a directed chain.
+    Both families fail the C = I condition."""
+    nodes = [(f"O{i}", NodeKind.OBSERVED) for i in range(k)]
+    nodes += [(f"L{i}", NodeKind.UNOBSERVED) for i in range(k - 1)]
+    edges = []
+    for i in range(k - 1):
+        edges += [(f"L{i}", f"O{i}"), (f"L{i}", f"O{i + 1}")]
+        if observed_links:
+            edges.append((f"O{i}", f"O{i + 1}"))
+    return GDag(nodes, edges)
+
+
 def random_classical_gmc(
     rng: Random,
     g: GDag,

@@ -7,8 +7,17 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
 
-from gdag_lab.classify import AddEdgeUnobservedPath, apply_transformation
-from gdag_lab.graph import GDag, NodeKind
+from gdag_lab.classify import (
+    AddEdgeParentSubset,
+    AddEdgeUnobservedPath,
+    Certificate,
+    RemoveEdge,
+    RemoveIsolatedUnobserved,
+    _closure,
+    apply_transformation,
+)
+from gdag_lab.dsep import _dsep_mask, _observed_triples
+from gdag_lab.graph import GDag, GraphError, NodeKind, _bits
 
 
 def canonical_key_oracle(g: GDag) -> tuple:
@@ -144,6 +153,93 @@ def closure_oracle(g: GDag) -> tuple[GDag, list[AddEdgeUnobservedPath]]:
                 steps.append(t)
                 changed = True
     return g, steps
+
+
+def ci_subset_oracle(g_new: GDag, g_old: GDag) -> bool:
+    """Every observable CI of ``g_new`` holds in ``g_old``, by testing
+    each canonical observed triple of ``g_new``: the reference for the
+    local-Markov route of ``dsep.ci_subset``."""
+    if set(g_new.observed_nodes()) != set(g_old.observed_nodes()):
+        raise GraphError("observed node sets differ")
+    for xm, ym, zm in _observed_triples(g_new):
+        if _dsep_mask(g_new, xm, ym, zm):
+            xo = g_old.mask_of(g_new.names_of(xm))
+            yo = g_old.mask_of(g_new.names_of(ym))
+            zo = g_old.mask_of(g_new.names_of(zm))
+            if not _dsep_mask(g_old, xo, yo, zo):
+                return False
+    return True
+
+
+def _branch_oracle(g, par, order, roots, steps=None):
+    """One ordering/root-assignment branch on the closed parent masks,
+    with an ancestor walk per candidate edge; returns the final observed
+    parent masks and appends the steps when ``steps`` is given."""
+    names = g.names
+    par = list(par)
+    unobs = g.all_mask & ~g.observed_mask
+    for i, t in enumerate(order):
+        later = 0
+        for j in order[i + 1:]:
+            later |= 1 << j
+        drop = par[t] & (later | (unobs & ~(1 << roots[i])))
+        par[t] &= ~drop
+        if steps is not None:
+            steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
+        for j in order[i + 1:]:
+            if (par[j] >> t) & 1 or par[t] & ~par[j] or not par[t] & unobs:
+                continue
+            seen = 1 << t
+            frontier = par[t]
+            hit = False
+            while frontier:
+                if (frontier >> j) & 1:
+                    hit = True
+                    break
+                seen |= frontier
+                new = 0
+                for k in _bits(frontier):
+                    new |= par[k]
+                frontier = new & ~seen
+            if hit:
+                continue
+            par[j] |= 1 << t
+            if steps is not None:
+                steps.append(AddEdgeParentSubset(names[t], names[j]))
+    if steps is not None:
+        for c, pm in enumerate(par):
+            if not (unobs >> c) & 1:
+                pm &= unobs
+            steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
+        steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
+    return tuple(par[i] & g.observed_mask for i in _bits(g.observed_mask))
+
+
+def search_oracle(g: GDag) -> Optional[Certificate]:
+    """The certificate search by brute force: every ordering of the
+    tricky nodes times every root assignment, in that order, each final
+    graph tested with the triple scan; the first winner or None.  The
+    reference for the state search of ``sufficient_condition_holds``."""
+    par, step1 = _closure(g)
+    unobs = g.all_mask & ~g.observed_mask
+    n = len(g.names)
+    tricky = [i for i in range(n) if (g.observed_mask >> i) & 1 and par[i] & unobs]
+    roots = [i for i in range(n) if (unobs >> i) & 1 and not par[i] & unobs]
+    observed = [(name, NodeKind.OBSERVED) for name in g.observed_nodes()]
+    for order in permutations(tricky):
+        pools = [[r for r in roots if (par[t] >> r) & 1] for t in order]
+        for choice in product(*pools):
+            final_par = _branch_oracle(g, par, order, choice)
+            h = GDag(observed, [
+                (g.names[p], name)
+                for (name, _), pm in zip(observed, final_par)
+                for p in _bits(pm)
+            ])
+            if ci_subset_oracle(h, g):
+                steps = list(step1)
+                _branch_oracle(g, par, order, choice, steps)
+                return Certificate(g, tuple(steps))
+    return None
 
 
 def all_observed_triples(g: GDag):

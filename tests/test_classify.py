@@ -1,3 +1,4 @@
+import gc
 from random import Random
 
 import pytest
@@ -38,8 +39,8 @@ from gdag_lab.classify import (
 from gdag_lab.dsep import ci_subset, observable_ci_set
 from gdag_lab.graph import GDag, NodeKind
 
-from generators import random_gdag
-from oracles import closure_oracle
+from generators import latent_chain, random_gdag
+from oracles import closure_oracle, search_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -206,6 +207,41 @@ def test_condition_certificates_verify_random(seed):
     assert cert.source == g
     assert cert.verify()
     assert all(k is OBS for k in cert.final.kinds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([0.35, 0.5]))
+def test_search_matches_exhaustive_oracle(seed, p_unobserved):
+    """The state search finds a certificate exactly when some branch of
+    the exhaustive loop does, and the first one in the loop's order."""
+    g = random_gdag(Random(seed), max_nodes=8, p_unobserved=p_unobserved)
+    cert, expect = sufficient_condition_holds(g), search_oracle(g)
+    assert (cert is None) == (expect is None)
+    if cert is not None:
+        assert cert.to_json() == expect.to_json()
+
+
+@pytest.mark.parametrize("links", [False, True], ids=["chain", "linked"])
+def test_latent_chains_fail(links):
+    """Exhaustive searches: the oracle agrees up to 5 observed nodes, and
+    8 observed nodes (8! orderings) are decided on placement states."""
+    for k in (4, 5):
+        assert search_oracle(latent_chain(k, links)) is None
+        assert sufficient_condition_holds(latent_chain(k, links)) is None
+    assert sufficient_condition_holds(latent_chain(8, links)) is None
+
+
+@pytest.mark.parametrize("g", [latent_chain(6, True), one_sided_bell_gdag()], ids=["fail", "win"])
+def test_search_leaves_no_reference_cycle(g):
+    """The failed-state set dies with the call, not at the next full
+    collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        sufficient_condition_holds(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- reduction rules ----------------------------------------------------

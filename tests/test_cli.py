@@ -13,6 +13,8 @@ from gdag_lab.cli import run
 from gdag_lab.graph import GDag, NodeKind, parse_gdag
 from gdag_lab.models import ConditionalDistribution, Distribution
 
+from generators import latent_chain
+
 F = Fraction
 H = F(1, 2)
 
@@ -228,6 +230,13 @@ def test_classify_output_independent_of_hash_seed(tmp_path):
 def test_classify_unknown(bell_path, capsys):
     assert run(["classify", bell_path]) == 1
     assert capsys.readouterr().out.strip() == "unknown"
+
+
+def test_classify_unknown_latent_chain_8_observed(tmp_path, capsys):
+    gp = tmp_path / "chain.json"
+    gp.write_text(latent_chain(8, True).to_json())
+    assert run(["classify", str(gp)]) == 1
+    assert capsys.readouterr().out == "unknown\n"
 
 
 def test_reduce(tmp_path, capsys, bell_path):

@@ -25,7 +25,12 @@ from gdag_lab.dsep import (
 from gdag_lab.graph import GDag, GraphError, NodeKind
 
 from generators import random_gdag
-from oracles import all_observed_triples, dsep_moral_oracle, dsep_path_oracle
+from oracles import (
+    all_observed_triples,
+    ci_subset_oracle,
+    dsep_moral_oracle,
+    dsep_path_oracle,
+)
 
 
 def test_chain_fork_collider():
@@ -144,6 +149,28 @@ def test_ci_subset():
     assert not ci_subset(g.without_edge("X", "A"), g)
     with pytest.raises(GraphError):
         ci_subset(g, triangle_gdag())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([0.3, 0.6, 0.9]))
+def test_local_markov_ci_subset_matches_triple_scan(seed, p_edge):
+    """An all-observed graph on ``g``'s observed nodes, declared in an
+    order unrelated to its edges and to ``g``'s indices: its local-Markov
+    check agrees with the scan of every observed triple."""
+    rng = Random(seed)
+    g = random_gdag(rng, max_nodes=8)
+    obs = list(g.observed_nodes())
+    rng.shuffle(obs)
+    edges = [
+        (obs[i], obs[j])
+        for i in range(len(obs))
+        for j in range(i + 1, len(obs))
+        if rng.random() < p_edge
+    ]
+    decl = list(obs)
+    rng.shuffle(decl)
+    h = GDag([(n, NodeKind.OBSERVED) for n in decl], edges)
+    assert ci_subset(h, g) == ci_subset_oracle(h, g)
 
 
 @settings(max_examples=300, deadline=None)
