@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import GDag, NodeKind, _bits
 from .dsep import ci_subset
@@ -364,12 +364,6 @@ class DropOneOutcomeObserved:
 
 
 @dataclass(frozen=True)
-class DropRedundantObservedEdge:
-    parent: str
-    child: str
-
-
-@dataclass(frozen=True)
 class AbsorbDominatedUnobserved:
     node: str
     into: str
@@ -390,7 +384,6 @@ ReductionRule = Union[
     DropChildlessUnobserved,
     MergeUnobservedIntoUnobservedParent,
     DropOneOutcomeObserved,
-    DropRedundantObservedEdge,
     AbsorbDominatedUnobserved,
     MergeUnobservedIntoSoleChild,
     MergeObservedIntoParentlessUnobservedParent,
@@ -421,108 +414,102 @@ def _component_of(g: GDag, n: str) -> frozenset[str]:
     return g.names_of(seen)
 
 
+def _refusal(g: GDag, r: ReductionRule) -> Optional[str]:
+    """Why rule instance ``r`` does not apply to ``g``, or None when it
+    does; every node ``r`` names is a node of ``g``."""
+    if isinstance(r, DropDisconnectedComponent):
+        if len(_component_of(g, r.node)) == len(g.names):
+            return "graph is connected"
+
+    elif isinstance(r, DropChildlessUnobserved):
+        if g.is_observed(r.node):
+            return f"{r.node!r} is observed"
+        if g.children(r.node):
+            return f"{r.node!r} has children"
+
+    elif isinstance(r, MergeUnobservedIntoUnobservedParent):
+        n = r.node
+        if g.is_observed(n):
+            return f"{n!r} is observed"
+        pa = g.parents(n)
+        if len(pa) != 1:
+            return f"{n!r} does not have exactly one parent"
+        (p,) = pa
+        if g.is_observed(p):
+            return f"parent {p!r} is observed"
+
+    elif isinstance(r, DropOneOutcomeObserved):
+        if not g.is_observed(r.node):
+            return f"{r.node!r} is not observed"
+
+    elif isinstance(r, AbsorbDominatedUnobserved):
+        n, m = r.node, r.into
+        if n == m:
+            return "node cannot absorb itself"
+        if g.is_observed(n) or g.is_observed(m):
+            return "both nodes must be unobserved"
+        if not (g.parents(n) <= g.parents(m) and g.children(n) <= g.children(m)):
+            return f"{n!r} is not dominated by {m!r}"
+
+    elif isinstance(r, MergeUnobservedIntoSoleChild):
+        if g.is_observed(r.node):
+            return f"{r.node!r} is observed"
+        if len(g.children(r.node)) != 1:
+            return f"{r.node!r} does not have exactly one child"
+
+    elif isinstance(r, MergeObservedIntoParentlessUnobservedParent):
+        y = r.node
+        if not g.is_observed(y):
+            return f"{y!r} is not observed"
+        pa = g.parents(y)
+        if len(pa) != 1:
+            return f"{y!r} must have exactly one parent"
+        (x,) = pa
+        if g.is_observed(x):
+            return f"parent {x!r} is observed"
+        if g.parents(x):
+            return f"parent {x!r} is not parentless"
+        if len(g.children(x)) != 2:
+            return f"{x!r} must have exactly two children"
+
+    else:
+        return f"unknown reduction {r!r}"
+    return None
+
+
+def _merge(g: GDag, n: str, edges: Iterable[tuple[str, str]]) -> GDag:
+    """``g`` without node ``n``, plus each of ``edges`` it lacks, in order."""
+    h = g.without_nodes([n])
+    for a, b in edges:
+        if not h.has_edge(a, b):
+            h = h.with_edge(a, b)
+    return h
+
+
 def apply_reduction(g: GDag, r: ReductionRule) -> GDag:
     """Apply one reduction rule, checking its precondition."""
     for n in getattr(r, "__dict__", {}).values():
         if n not in g.index:
             raise TransformError(f"unknown node {n!r}")
+    why = _refusal(g, r)
+    if why is not None:
+        raise TransformError(why)
+    n = r.node
+    by_index = g.index.__getitem__
     if isinstance(r, DropDisconnectedComponent):
-        comp = _component_of(g, r.node)
-        if len(comp) == len(g.names):
-            raise TransformError("graph is connected")
-        return g.without_nodes(comp)
-
-    if isinstance(r, DropChildlessUnobserved):
-        if g.is_observed(r.node):
-            raise TransformError(f"{r.node!r} is observed")
-        if g.children(r.node):
-            raise TransformError(f"{r.node!r} has children")
-        return g.without_nodes([r.node])
-
+        return g.without_nodes(_component_of(g, n))
     if isinstance(r, MergeUnobservedIntoUnobservedParent):
-        n = r.node
-        if g.is_observed(n):
-            raise TransformError(f"{n!r} is observed")
-        pa = g.parents(n)
-        if len(pa) != 1:
-            raise TransformError(f"{n!r} does not have exactly one parent")
-        (p,) = pa
-        if g.is_observed(p):
-            raise TransformError(f"parent {p!r} is observed")
-        h = g.without_nodes([n])
-        for c in sorted(g.children(n), key=g.index.__getitem__):
-            if not h.has_edge(p, c):
-                h = h.with_edge(p, c)
-        return h
-
-    if isinstance(r, DropOneOutcomeObserved):
-        if not g.is_observed(r.node):
-            raise TransformError(f"{r.node!r} is not observed")
-        return g.without_nodes([r.node])
-
-    if isinstance(r, DropRedundantObservedEdge):
-        y, x = r.parent, r.child
-        if (y, x) not in g.edges:
-            raise TransformError(f"no edge ({y!r}, {x!r})")
-        if not g.is_observed(x):
-            raise TransformError(f"{x!r} is not observed")
-        if any(not g.is_observed(p) for p in g.parents(x)):
-            raise TransformError(f"{x!r} has an unobserved parent")
-        h = g.without_edge(y, x)
-        if not ci_subset(h, g):
-            raise TransformError(
-                "edge removal would introduce new observable independences"
-            )
-        return h
-
-    if isinstance(r, AbsorbDominatedUnobserved):
-        n, m = r.node, r.into
-        if n == m:
-            raise TransformError("node cannot absorb itself")
-        if g.is_observed(n) or g.is_observed(m):
-            raise TransformError("both nodes must be unobserved")
-        if not (g.parents(n) <= g.parents(m) and g.children(n) <= g.children(m)):
-            raise TransformError(
-                f"{n!r} is not dominated by {m!r}"
-            )
-        return g.without_nodes([n])
-
+        (p,) = g.parents(n)
+        return _merge(g, n, ((p, c) for c in sorted(g.children(n), key=by_index)))
     if isinstance(r, MergeUnobservedIntoSoleChild):
-        n = r.node
-        if g.is_observed(n):
-            raise TransformError(f"{n!r} is observed")
-        ch = g.children(n)
-        if len(ch) != 1:
-            raise TransformError(f"{n!r} does not have exactly one child")
-        (c,) = ch
-        h = g.without_nodes([n])
-        for p in sorted(g.parents(n), key=g.index.__getitem__):
-            if not h.has_edge(p, c):
-                h = h.with_edge(p, c)
-        return h
-
+        (c,) = g.children(n)
+        return _merge(g, n, ((p, c) for p in sorted(g.parents(n), key=by_index)))
     if isinstance(r, MergeObservedIntoParentlessUnobservedParent):
-        y = r.node
-        if not g.is_observed(y):
-            raise TransformError(f"{y!r} is not observed")
-        pa = g.parents(y)
-        if len(pa) != 1:
-            raise TransformError(f"{y!r} must have exactly one parent")
-        (x,) = pa
-        if g.is_observed(x):
-            raise TransformError(f"parent {x!r} is observed")
-        if g.parents(x):
-            raise TransformError(f"parent {x!r} is not parentless")
-        ch = g.children(x)
-        if len(ch) != 2:
-            raise TransformError(f"{x!r} must have exactly two children")
-        (z,) = ch - {y}
-        h = g.without_nodes([x])
-        if not h.has_edge(y, z):
-            h = h.with_edge(y, z)
-        return h
-
-    raise TransformError(f"unknown reduction {r!r}")
+        (x,) = g.parents(n)
+        (z,) = g.children(x) - {n}
+        return _merge(g, x, [(n, z)])
+    # DropChildlessUnobserved, DropOneOutcomeObserved, AbsorbDominatedUnobserved
+    return g.without_nodes([n])
 
 
 def applicable_reductions(
@@ -550,43 +537,20 @@ def applicable_reductions(
             min(drop, key=g.index.__getitem__)
         )
 
-    for n in g.unobserved_nodes():
-        if not g.children(n):
-            yield DropChildlessUnobserved(n)
-
-    for n in g.unobserved_nodes():
-        pa = g.parents(n)
-        if len(pa) == 1 and not g.is_observed(next(iter(pa))):
-            yield MergeUnobservedIntoUnobservedParent(n)
-
-    if include_one_outcome:
-        for n in g.observed_nodes():
-            yield DropOneOutcomeObserved(n)
-
-    for x in g.observed_nodes():
-        pa = g.parents(x)
-        if pa and all(g.is_observed(p) for p in pa):
-            for y in sorted(pa, key=g.index.__getitem__):
-                if ci_subset(g.without_edge(y, x), g):
-                    yield DropRedundantObservedEdge(y, x)
-
-    for n in g.unobserved_nodes():
-        for m in g.unobserved_nodes():
-            if n != m and g.parents(n) <= g.parents(m) and g.children(n) <= g.children(m):
-                yield AbsorbDominatedUnobserved(n, m)
-
-    for n in g.unobserved_nodes():
-        if len(g.children(n)) == 1:
-            yield MergeUnobservedIntoSoleChild(n)
-
-    for y in g.observed_nodes():
-        pa = g.parents(y)
-        if len(pa) != 1:
-            continue
-        (x,) = pa
-        if g.is_observed(x) or g.parents(x) or len(g.children(x)) != 2:
-            continue
-        yield MergeObservedIntoParentlessUnobservedParent(y)
+    rules = (
+        DropChildlessUnobserved,
+        MergeUnobservedIntoUnobservedParent,
+        *([DropOneOutcomeObserved] if include_one_outcome else []),
+        AbsorbDominatedUnobserved,
+        MergeUnobservedIntoSoleChild,
+        MergeObservedIntoParentlessUnobservedParent,
+    )
+    for rule in rules:
+        if rule is AbsorbDominatedUnobserved:
+            candidates = (rule(n, m) for n in g.names for m in g.names)
+        else:
+            candidates = (rule(n) for n in g.names)
+        yield from (r for r in candidates if _refusal(g, r) is None)
 
 
 def reduce(g: GDag) -> GDag:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .graph import GDag, GraphError, parse_gdag
 from .dsep import (
@@ -110,6 +111,21 @@ def _cmd_ci_set(args) -> int:
     return 0
 
 
+def _triangle_verdict(dist: Distribution) -> tuple[float, bool, bool]:
+    """The monogamy margin, the GPT feasibility, and whether either one
+    certifies that ``dist`` cannot arise in the triangle."""
+    margin = triangle_monogamy_margin(dist)
+    feas = triangle_gpt_feasible(dist)
+    return margin, feas, margin > MONOGAMY_TOL or not feas
+
+
+def _instrumental_verdict(dist: ConditionalDistribution) -> tuple[Fraction, bool]:
+    """The instrumental value, and whether it certifies that ``dist``
+    cannot arise in the instrumental structure."""
+    v = instrumental_value(dist)
+    return v, v > 1
+
+
 def _cmd_check_dist(args) -> int:
     g = _read_graph(args.graph)
     dist = _read_dist(args.dist)
@@ -118,9 +134,9 @@ def _cmd_check_dist(args) -> int:
     code = 0
     if isinstance(dist, ConditionalDistribution):
         if len(dist.given) == 1:
-            v = instrumental_value(dist)
+            v, violated = _instrumental_verdict(dist)
             out["instrumental_value"] = str(v)
-            if v > 1:
+            if violated:
                 code = 1
         else:
             raise CliError("conditional distributions need exactly one given")
@@ -134,11 +150,10 @@ def _cmd_check_dist(args) -> int:
         if not report.holds:
             code = 1
         if len(dist.variables) == 3:
-            margin = triangle_monogamy_margin(dist)
-            feas = triangle_gpt_feasible(dist)
+            margin, feas, violated = _triangle_verdict(dist)
             out["triangle_monogamy_margin"] = margin
             out["triangle_gpt_feasible"] = feas
-            if margin > MONOGAMY_TOL or not feas:
+            if violated:
                 code = 1
     print(json.dumps(out, separators=(", ", ": ")))
     return code
@@ -149,23 +164,22 @@ def _cmd_ineq(args) -> int:
     if args.family == "triangle":
         if not isinstance(dist, Distribution):
             raise CliError("triangle inequalities need a joint distribution")
-        margin = triangle_monogamy_margin(dist)
-        feas = triangle_gpt_feasible(dist)
+        margin, feas, violated = _triangle_verdict(dist)
         print(
             json.dumps(
                 {"monogamy_margin": margin, "gpt_feasible": feas},
                 separators=(", ", ": "),
             )
         )
-        return 1 if margin > MONOGAMY_TOL or not feas else 0
+        return 1 if violated else 0
     if not isinstance(dist, ConditionalDistribution) or len(dist.given) != 1:
         raise CliError(
             "instrumental inequality needs a conditional distribution "
             "with one given variable"
         )
-    v = instrumental_value(dist)
+    v, violated = _instrumental_verdict(dist)
     print(json.dumps({"value": str(v)}, separators=(", ", ": ")))
-    return 1 if v > 1 else 0
+    return 1 if violated else 0
 
 
 def _cmd_classify(args) -> int:

@@ -22,6 +22,16 @@ class ModelError(ValueError):
     """Raised for malformed tables or graph/table mismatches."""
 
 
+def _check_names(variables: Iterable[tuple[str, int]]) -> None:
+    seen: set[str] = set()
+    for name, _ in variables:
+        if not isinstance(name, str):
+            raise ModelError(f"variable id {name!r} is not a string")
+        if name in seen:
+            raise ModelError(f"duplicate variable {name!r}")
+        seen.add(name)
+
+
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s)
@@ -38,6 +48,7 @@ class Distribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _check_names(self.variables)
         size = 1
         for name, card in self.variables:
             if card < 1:
@@ -121,6 +132,7 @@ class ConditionalDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _check_names(self.variables + self.given)
         inner = math.prod(c for _, c in self.variables)
         outer = math.prod(c for _, c in self.given)
         if len(self.probs) != inner * outer:
@@ -348,7 +360,11 @@ def satisfies_I(g: GDag, p: Distribution) -> IndependenceReport:
 
 def entropy(p: Distribution, s: Iterable[str]) -> float:
     """Shannon entropy of the variables ``s`` in bits, 0 log 0 = 0."""
-    names = [n for n in p.names if n in frozenset(s)]
+    s = frozenset(s)
+    unknown = s.difference(p.names)
+    if unknown:
+        raise ModelError(f"unknown variable {min(unknown)!r}")
+    names = [n for n in p.names if n in s]
     m = p.marginal(names)
     h = 0.0
     for q in m.probs:

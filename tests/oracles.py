@@ -5,15 +5,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from gdag_lab.classify import (
+    AbsorbDominatedUnobserved,
     AddEdgeParentSubset,
     AddEdgeUnobservedPath,
     Certificate,
+    DropChildlessUnobserved,
+    DropDisconnectedComponent,
+    DropOneOutcomeObserved,
+    MergeObservedIntoParentlessUnobservedParent,
+    MergeUnobservedIntoSoleChild,
+    MergeUnobservedIntoUnobservedParent,
     RemoveEdge,
     RemoveIsolatedUnobserved,
+    TransformError,
     _closure,
+    _component_of,
     apply_transformation,
 )
 from gdag_lab.dsep import _dsep_mask, _observed_triples
@@ -240,6 +249,141 @@ def search_oracle(g: GDag) -> Optional[Certificate]:
                 _branch_oracle(g, par, order, choice, steps)
                 return Certificate(g, tuple(steps))
     return None
+
+
+def apply_reduction_oracle(g: GDag, r) -> GDag:
+    """One reduction rule with its precondition written inline, branch
+    by branch: the reference for ``classify.apply_reduction``."""
+    for n in getattr(r, "__dict__", {}).values():
+        if n not in g.index:
+            raise TransformError(f"unknown node {n!r}")
+    if isinstance(r, DropDisconnectedComponent):
+        comp = _component_of(g, r.node)
+        if len(comp) == len(g.names):
+            raise TransformError("graph is connected")
+        return g.without_nodes(comp)
+
+    if isinstance(r, DropChildlessUnobserved):
+        if g.is_observed(r.node):
+            raise TransformError(f"{r.node!r} is observed")
+        if g.children(r.node):
+            raise TransformError(f"{r.node!r} has children")
+        return g.without_nodes([r.node])
+
+    if isinstance(r, MergeUnobservedIntoUnobservedParent):
+        n = r.node
+        if g.is_observed(n):
+            raise TransformError(f"{n!r} is observed")
+        pa = g.parents(n)
+        if len(pa) != 1:
+            raise TransformError(f"{n!r} does not have exactly one parent")
+        (p,) = pa
+        if g.is_observed(p):
+            raise TransformError(f"parent {p!r} is observed")
+        h = g.without_nodes([n])
+        for c in sorted(g.children(n), key=g.index.__getitem__):
+            if not h.has_edge(p, c):
+                h = h.with_edge(p, c)
+        return h
+
+    if isinstance(r, DropOneOutcomeObserved):
+        if not g.is_observed(r.node):
+            raise TransformError(f"{r.node!r} is not observed")
+        return g.without_nodes([r.node])
+
+    if isinstance(r, AbsorbDominatedUnobserved):
+        n, m = r.node, r.into
+        if n == m:
+            raise TransformError("node cannot absorb itself")
+        if g.is_observed(n) or g.is_observed(m):
+            raise TransformError("both nodes must be unobserved")
+        if not (g.parents(n) <= g.parents(m) and g.children(n) <= g.children(m)):
+            raise TransformError(f"{n!r} is not dominated by {m!r}")
+        return g.without_nodes([n])
+
+    if isinstance(r, MergeUnobservedIntoSoleChild):
+        n = r.node
+        if g.is_observed(n):
+            raise TransformError(f"{n!r} is observed")
+        ch = g.children(n)
+        if len(ch) != 1:
+            raise TransformError(f"{n!r} does not have exactly one child")
+        (c,) = ch
+        h = g.without_nodes([n])
+        for p in sorted(g.parents(n), key=g.index.__getitem__):
+            if not h.has_edge(p, c):
+                h = h.with_edge(p, c)
+        return h
+
+    if isinstance(r, MergeObservedIntoParentlessUnobservedParent):
+        y = r.node
+        if not g.is_observed(y):
+            raise TransformError(f"{y!r} is not observed")
+        pa = g.parents(y)
+        if len(pa) != 1:
+            raise TransformError(f"{y!r} must have exactly one parent")
+        (x,) = pa
+        if g.is_observed(x):
+            raise TransformError(f"parent {x!r} is observed")
+        if g.parents(x):
+            raise TransformError(f"parent {x!r} is not parentless")
+        ch = g.children(x)
+        if len(ch) != 2:
+            raise TransformError(f"{x!r} must have exactly two children")
+        (z,) = ch - {y}
+        h = g.without_nodes([x])
+        if not h.has_edge(y, z):
+            h = h.with_edge(y, z)
+        return h
+
+    raise TransformError(f"unknown reduction {r!r}")
+
+
+def applicable_reductions_oracle(g: GDag, include_one_outcome: bool = False) -> Iterator:
+    """Applicable rule instances in priority order, each rule's condition
+    written as its own loop: the reference for
+    ``classify.applicable_reductions``."""
+    comps: list[frozenset[str]] = []
+    placed: set[str] = set()
+    for n in g.names:
+        if n not in placed:
+            comp = _component_of(g, n)
+            comps.append(comp)
+            placed |= comp
+    if len(comps) > 1:
+        drop = max(comps, key=lambda c: (-len(c), min(g.index[n] for n in c)))
+        yield DropDisconnectedComponent(min(drop, key=g.index.__getitem__))
+
+    for n in g.unobserved_nodes():
+        if not g.children(n):
+            yield DropChildlessUnobserved(n)
+
+    for n in g.unobserved_nodes():
+        pa = g.parents(n)
+        if len(pa) == 1 and not g.is_observed(next(iter(pa))):
+            yield MergeUnobservedIntoUnobservedParent(n)
+
+    if include_one_outcome:
+        for n in g.observed_nodes():
+            yield DropOneOutcomeObserved(n)
+
+    for n in g.unobserved_nodes():
+        for m in g.unobserved_nodes():
+            if n != m and g.parents(n) <= g.parents(m) and g.children(n) <= g.children(m):
+                yield AbsorbDominatedUnobserved(n, m)
+
+    for n in g.unobserved_nodes():
+        if len(g.children(n)) == 1:
+            yield MergeUnobservedIntoSoleChild(n)
+
+    for y in g.observed_nodes():
+        pa = g.parents(y)
+        if len(pa) != 1:
+            continue
+        (x,) = pa
+        if g.is_observed(x) or g.parents(x) or len(g.children(x)) != 2:
+            continue
+        yield MergeObservedIntoParentlessUnobservedParent(y)
 
 
 def all_observed_triples(g: GDag):

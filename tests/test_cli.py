@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import gdag_lab
-from gdag_lab.catalog import bell_gdag, chain, instrumental_gdag, one_sided_bell_gdag
+from gdag_lab.catalog import (
+    bell_gdag,
+    chain,
+    instrumental_gdag,
+    one_sided_bell_gdag,
+    triangle_gdag,
+)
 from gdag_lab.cli import run
 from gdag_lab.graph import GDag, NodeKind, parse_gdag
 from gdag_lab.models import ConditionalDistribution, Distribution
@@ -124,6 +130,10 @@ def test_ineq_instrumental(tmp_path, capsys):
 
 TWO_VARS = Distribution((("A", 2), ("B", 2)), (F(1, 4),) * 4).to_json()
 ONE_VAR_FAMILY = ConditionalDistribution((("A", 2),), (("Y", 2),), (H, H, H, H)).to_json()
+THREE_VARS = Distribution((("A", 2), ("B", 2), ("C", 2)), (F(1, 8),) * 8).to_json()
+TWO_VAR_FAMILY = ConditionalDistribution(
+    (("A", 2), ("B", 2)), (("Y", 2),), (F(1, 4),) * 8
+).to_json()
 
 
 @pytest.mark.parametrize(
@@ -134,8 +144,13 @@ ONE_VAR_FAMILY = ConditionalDistribution((("A", 2),), (("Y", 2),), (H, H, H, H))
         (["ineq", "triangle"], TWO_VARS),
         (["ineq", "instrumental"], ONE_VAR_FAMILY),
         (["check-dist", "CHAIN"], ONE_VAR_FAMILY),
+        (["ineq", "triangle"], THREE_VARS.replace('"B"', '["B"]')),
+        (["ineq", "instrumental"], TWO_VAR_FAMILY.replace('"Y"', '{"Y": 1}')),
     ],
-    ids=["vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var", "check-dist-1-var"],
+    ids=[
+        "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
+        "check-dist-1-var", "list-id", "object-given-id",
+    ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
     gp = tmp_path / "chain.json"
@@ -145,6 +160,19 @@ def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
     argv = [str(gp) if a == "CHAIN" else a for a in command] + [str(dp)]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_duplicate_variable_exits_2(tmp_path, capsys):
+    """A joint over A, A, B is malformed input, not a triangle violation."""
+    dp = tmp_path / "dup.json"
+    dp.write_text(json.dumps({
+        "variables": [{"id": "A", "card": 2}, {"id": "A", "card": 2}, {"id": "B", "card": 2}],
+        "probs": ["1/2", "0", "0", "0", "0", "0", "0", "1/2"],
+    }))
+    assert run(["ineq", "triangle", str(dp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: duplicate variable 'A'\n"
 
 
 def test_ineq_shape_error(tmp_path, capsys):
@@ -237,6 +265,52 @@ def test_classify_unknown_latent_chain_8_observed(tmp_path, capsys):
     gp.write_text(latent_chain(8, True).to_json())
     assert run(["classify", str(gp)]) == 1
     assert capsys.readouterr().out == "unknown\n"
+
+
+#: ``gdag-lab reduce`` stdout, byte for byte.
+REDUCED = {
+    "triangle": (
+        '{"nodes": [{"id": "A", "kind": "observed"}, {"id": "B", "kind": "observed"}, '
+        '{"id": "C", "kind": "observed"}, {"id": "LAB", "kind": "unobserved"}, '
+        '{"id": "LAC", "kind": "unobserved"}, {"id": "LBC", "kind": "unobserved"}], '
+        '"edges": [["LAB", "A"], ["LAB", "B"], ["LAC", "A"], ["LAC", "C"], ["LBC", "B"], ["LBC", "C"]]}\n'
+    ),
+    "instrumental": (
+        '{"nodes": [{"id": "Y", "kind": "observed"}, {"id": "B", "kind": "observed"}, '
+        '{"id": "A", "kind": "observed"}, {"id": "U", "kind": "unobserved"}], '
+        '"edges": [["Y", "B"], ["B", "A"], ["U", "B"], ["U", "A"]]}\n'
+    ),
+    "one-sided-bell": (
+        '{"nodes": [{"id": "X", "kind": "observed"}, {"id": "A", "kind": "observed"}, '
+        '{"id": "B", "kind": "observed"}], "edges": [["X", "A"], ["B", "A"]]}\n'
+    ),
+    "junk": (
+        '{"nodes": [{"id": "A", "kind": "observed"}, {"id": "B", "kind": "observed"}], '
+        '"edges": [["A", "B"]]}\n'
+    ),
+}
+JUNK = GDag(
+    [("A", NodeKind.OBSERVED), ("B", NodeKind.OBSERVED), ("L", NodeKind.UNOBSERVED),
+     ("M", NodeKind.UNOBSERVED), ("K", NodeKind.UNOBSERVED)],
+    [("L", "A"), ("L", "B"), ("A", "M")],
+)
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [
+        ("triangle", triangle_gdag()),
+        ("instrumental", instrumental_gdag()),
+        ("one-sided-bell", one_sided_bell_gdag()),
+        ("junk", JUNK),
+    ],
+    ids=["triangle", "instrumental", "one-sided-bell", "junk"],
+)
+def test_reduce_stdout_pinned(tmp_path, capsys, name, g):
+    gp = tmp_path / "g.json"
+    gp.write_text(g.to_json())
+    assert run(["reduce", str(gp)]) == 0
+    assert capsys.readouterr().out == REDUCED[name]
 
 
 def test_reduce(tmp_path, capsys, bell_path):

@@ -173,6 +173,20 @@ def test_local_markov_ci_subset_matches_triple_scan(seed, p_edge):
     assert ci_subset(h, g) == ci_subset_oracle(h, g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_ci_subset_with_latents_matches_triple_scan(seed):
+    """A graph with latents against itself minus one edge, both ways:
+    the comparison of observable CI sets agrees with the triple scan."""
+    rng = Random(seed)
+    g = random_gdag(rng, max_nodes=7, p_unobserved=0.5)
+    if not g.edges or g.observed_mask == g.all_mask:
+        return
+    h = g.without_edge(*rng.choice(g.edges))
+    assert ci_subset(h, g) == ci_subset_oracle(h, g)
+    assert ci_subset(g, h) == ci_subset_oracle(g, h)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 6))
 def test_random_triples_match_oracles(seed, pick):

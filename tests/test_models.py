@@ -54,6 +54,15 @@ def test_distribution_validation():
         Distribution((("A", 0),), ())
 
 
+def test_duplicate_variables_rejected():
+    with pytest.raises(ModelError, match="duplicate variable 'A'"):
+        Distribution((("A", 2), ("A", 2), ("B", 2)), (H, 0, 0, 0, 0, 0, 0, H))
+    with pytest.raises(ModelError, match="duplicate variable 'Y'"):
+        ConditionalDistribution((("A", 2), ("Y", 2)), (("Y", 2),), (H, 0, 0, H) * 2)
+    with pytest.raises(ModelError, match="duplicate variable 'Y'"):
+        ConditionalDistribution((("A", 2),), (("Y", 2), ("Y", 2)), (H, H) * 4)
+
+
 def test_marginal_and_prob():
     p = Distribution((("A", 2), ("B", 2)), (H, Q, Q, Fraction(0)))
     assert p.prob((0, 1)) == Q
@@ -203,6 +212,22 @@ def test_entropy_values():
     assert mutual_information(corr, {"A"}, {"B"}) == pytest.approx(1.0)
     spiked = Distribution((("A", 2),), (Fraction(1), Fraction(0)))
     assert entropy(spiked, {"A"}) == 0.0
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda p: entropy(p, {"Z"}),
+        lambda p: entropy(p, {"A", "Z"}),
+        lambda p: mutual_information(p, {"A"}, {"Z"}),
+        lambda p: conditional_mutual_information(p, {"A"}, {"B"}, {"Z"}),
+        lambda p: information_quantity(p, ("H", {"Z"})),
+    ],
+    ids=["H", "H-joint", "I", "I-given", "query"],
+)
+def test_unknown_variable_rejected(quantity):
+    with pytest.raises(ModelError, match="unknown variable 'Z'"):
+        quantity(uniform2("A", "B"))
 
 
 def test_information_quantity_dispatch():
