@@ -6,20 +6,20 @@ transformations reaches an all-observed DAG requiring no extra observable
 conditional independences.  The search places the "tricky" observed nodes
 (those with unobserved parents) one at a time, each with a root
 unobserved node feeding it; every ordering paired with every root choice
-is complete for the condition.  Existence is decided on placement
-states, which many orderings share; the ordered loop over branches runs
-only when a state wins, to pick the first winning branch.
+is complete for the condition.  The certificate is the first winning
+branch of that loop, found in one depth-first search over ordering
+prefixes that follows each placement state, which many branches share,
+once; final graphs are tested on parent masks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import GDag, NodeKind, _bits
-from .dsep import ci_subset
+from .dsep import _markov_holds, ci_subset
 # perfbench/spans.py wraps classify._dsep_mask and classify.ci_subset by name.
 from .dsep import _dsep_mask  # noqa: F401
 
@@ -227,88 +227,92 @@ def _place(
 
 def _simulate_branch(
     g: GDag, par: list[int], order: tuple[int, ...], roots: tuple[int, ...],
-    steps: Optional[list[Transformation]] = None,
-) -> list[int]:
-    """Simulate one branch on the closed parent masks ``par`` of ``g``;
-    return the parent masks it reaches.
-
-    When ``steps`` is given, the branch's transformations are appended to
-    it: each tricky node's parent removals and parent-subset additions,
-    then the removal of every edge touching a latent and of every latent
-    node, each group in ascending node index.
-    """
+    steps: list[Transformation],
+) -> None:
+    """Append to ``steps`` the transformations of one branch, simulated
+    on the closed parent masks ``par`` of ``g``: each tricky node's
+    parent removals and parent-subset additions, then the removal of
+    every edge touching a latent and of every latent node, each group in
+    ascending node index."""
     par = list(par)
+    names = g.names
     unobs = g.all_mask & ~g.observed_mask
     for i, t in enumerate(order):
-        _place(par, t, roots[i], order[i + 1:], unobs, g.names, steps)
-    if steps is not None:
-        names = g.names
-        for c, pm in enumerate(par):
-            if not (unobs >> c) & 1:
-                pm &= unobs
-            steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
-        steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
-    return par
+        _place(par, t, roots[i], order[i + 1:], unobs, names, steps)
+    for c, pm in enumerate(par):
+        if not (unobs >> c) & 1:
+            pm &= unobs
+        steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
+    steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
 
 
 def _passes(g: GDag, par: list[int], tried: dict[tuple[int, ...], bool]) -> bool:
     """Whether the all-observed graph left by the parent masks ``par``
     needs no observable independence that ``g`` lacks; answers are
     cached in ``tried`` by the observed nodes' observed-parent masks."""
-    final_par = tuple(par[i] & g.observed_mask for i in _bits(g.observed_mask))
-    ok = tried.get(final_par)
-    if ok is None:
-        observed = [(n, NodeKind.OBSERVED) for n in g.observed_nodes()]
-        h = GDag(observed, [
-            (g.names[p], name)
-            for (name, _), pm in zip(observed, final_par)
-            for p in _bits(pm)
-        ])
-        ok = tried[final_par] = ci_subset(h, g)
-    return ok
+    final = {i: par[i] & g.observed_mask for i in _bits(g.observed_mask)}
+    key = tuple(final.values())
+    if key not in tried:
+        tried[key] = _markov_holds(g, final)
+    return tried[key]
 
 
-def _winnable(
-    g: GDag, par: list[int], left: int, tricky: list[int],
-    candidates: dict[int, list[int]], failed: set[int],
-    tried: dict[tuple[int, ...], bool],
-) -> bool:
-    """Whether some placement of the unplaced tricky nodes ``left`` (a
-    mask), from the parent masks ``par``, reaches a final graph that
-    passes.  The state is ``left`` plus the tricky nodes' masks, as no
-    step changes another mask; states that cannot win go into
-    ``failed``, keyed by one packed int."""
+def _first_win(
+    g: GDag, order: tuple[int, ...], left: int,
+    states: dict[int, tuple[list[int], tuple[int, ...]]],
+    tricky: list[int], candidates: dict[int, list[int]],
+    failed: set[int], tried: dict[tuple[int, ...], bool],
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first winning branch (ordering, roots) extending ``order`` in
+    the loop over orderings and then root tuples, or None.
+
+    ``states`` maps each placement state ``order`` reaches (keyed by the
+    unplaced tricky set ``left`` packed with the tricky masks) to its
+    parent masks and the first root tuple reaching it, in that tuple's
+    order, so at a full ordering the first state that passes is the
+    loop's first winner.  A state whose subtree has no winner joins
+    ``failed`` and is never expanded again."""
     if not left:
-        return _passes(g, par, tried)
-    n = len(par)
-    key, shift = left, n
-    for t in tricky:
-        key |= par[t] << shift
-        shift += n
-    if key in failed:
-        return False
-    unobs = g.all_mask & ~g.observed_mask
-    for t in _bits(left):
-        rest = left & ~(1 << t)
-        later = tuple(_bits(rest))
-        for r in candidates[t]:
-            nxt = list(par)
-            _place(nxt, t, r, later, unobs)
-            if _winnable(g, nxt, rest, tricky, candidates, failed, tried):
-                return True
-    failed.add(key)
-    return False
+        for par, roots in states.values():
+            if _passes(g, par, tried):
+                return order, roots
+    else:
+        n = len(g.names)
+        unobs = g.all_mask & ~g.observed_mask
+        for t in _bits(left):
+            rest = left & ~(1 << t)
+            later = tuple(_bits(rest))
+            nxt: dict[int, tuple[list[int], tuple[int, ...]]] = {}
+            for par, roots in states.values():
+                for r in candidates[t]:
+                    p = list(par)
+                    _place(p, t, r, later, unobs)
+                    key, shift = rest, n
+                    for u in tricky:
+                        key |= p[u] << shift
+                        shift += n
+                    if key not in failed and key not in nxt:
+                        nxt[key] = p, roots + (r,)
+            if nxt:
+                win = _first_win(
+                    g, order + (t,), rest, nxt, tricky, candidates, failed, tried
+                )
+                if win:
+                    return win
+    failed.update(states)
+    return None
 
 
 def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
     """Return a certificate for the C = I condition, or None.
 
-    Existence is decided on placement states rather than branches: a
-    depth-first search over (unplaced tricky nodes, tricky parent masks)
-    that never revisits a failed state.  Only when some state wins does
-    the ordered loop over every ordering/root-assignment branch run, to
-    pick the first winning branch in its deterministic order; the two
-    passes share the cache of tested final graphs.
+    The certificate is the first winning branch of the loop over every
+    ordering of the tricky nodes and then every root assignment.  One
+    depth-first search over ordering prefixes finds it: each prefix
+    carries the distinct placement states it reaches, so branches that
+    meet in a state are followed once, and a state whose subtree has no
+    winner is never expanded again.  Final graphs are tested on parent
+    masks, and no graph is built.
     """
     par, step1 = _closure(g)
     unobs = g.all_mask & ~g.observed_mask
@@ -324,17 +328,14 @@ def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
     ]
     candidates = {t: [r for r in root_set if (par[t] >> r) & 1] for t in tricky}
 
-    tried: dict[tuple[int, ...], bool] = {}
     left = sum(1 << t for t in tricky)
-    if not _winnable(g, par, left, tricky, candidates, set(), tried):
+    # The start state is never looked up, so any key serves.
+    win = _first_win(g, (), left, {-1: (par, ())}, tricky, candidates, set(), {})
+    if win is None:
         return None
-    for order in permutations(tricky):
-        for roots in product(*(candidates[t] for t in order)):
-            if _passes(g, _simulate_branch(g, par, order, roots), tried):
-                steps = list(step1)
-                _simulate_branch(g, par, order, roots, steps)
-                return Certificate(g, tuple(steps))
-    raise AssertionError("a winning state has no winning branch")
+    steps = list(step1)
+    _simulate_branch(g, par, *win, steps)
+    return Certificate(g, tuple(steps))
 
 
 # -- reduction rules ----------------------------------------------------

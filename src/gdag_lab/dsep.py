@@ -200,34 +200,37 @@ def observable_ci_set(g: GDag) -> CISet:
     return CISet(stmts)
 
 
-def ci_subset(g_new: GDag, g_old: GDag) -> bool:
-    """True iff every observable CI of ``g_new`` already holds in ``g_old``.
+def _markov_holds(g: GDag, par: dict[int, int]) -> bool:
+    """True iff every d-separation of the DAG with parent masks ``par``
+    (node to parent mask, both in ``g``'s indices) holds in ``g``.
 
-    When ``g_new`` is all-observed, its ordered local-Markov list
-    suffices: each node i is independent of its predecessors in a
-    topological order given its parents.  d-separation among ``g_old``'s
-    observed nodes is a semi-graphoid, and the semi-graphoid closure of
-    that list is every d-separation of ``g_new`` (Verma & Pearl 1988;
-    Lauritzen, Dawid, Larsen & Leimer 1990), so at most one test per
-    node decides the inclusion.  Otherwise the two observable CI sets
-    are compared.
+    Its ordered local-Markov list suffices: each node i is independent
+    of its predecessors in a topological order (here lowest ready index
+    first) given its parents.  d-separation in ``g`` is a semi-graphoid,
+    and the semi-graphoid closure of that list is every d-separation of
+    the DAG, for any topological order (Verma & Pearl 1988; Lauritzen,
+    Dawid, Larsen & Leimer 1990), so one test per node decides it.
     """
+    todo = sum(1 << i for i in par)
+    done = 0
+    while todo:
+        i = next(i for i in _bits(todo) if not par[i] & todo)
+        todo ^= 1 << i
+        rest = done & ~par[i]
+        if rest and not _dsep_mask(g, 1 << i, rest, par[i]):
+            return False
+        done |= 1 << i
+    return True
+
+
+def ci_subset(g_new: GDag, g_old: GDag) -> bool:
+    """True iff every observable CI of ``g_new`` already holds in ``g_old``:
+    by the local-Markov list when ``g_new`` is all-observed, else by
+    comparing the two observable CI sets."""
     if set(g_new.observed_nodes()) != set(g_old.observed_nodes()):
         raise GraphError("observed node sets differ")
     if g_new.observed_mask == g_new.all_mask:
-        at = [1 << g_old.index[n] for n in g_new.names]
-        pred = 0
-        for i in g_new._topo:
-            pa = g_new.parent_mask[i]
-            rest = pred & ~pa
-            pred |= 1 << i
-            if rest:
-                ro = pao = 0
-                for j in _bits(rest):
-                    ro |= at[j]
-                for j in _bits(pa):
-                    pao |= at[j]
-                if not _dsep_mask(g_old, at[i], ro, pao):
-                    return False
-        return True
+        return _markov_holds(g_old, {
+            g_old.index[n]: g_old.mask_of(g_new.parents(n)) for n in g_new.names
+        })
     return observable_ci_set(g_new) <= observable_ci_set(g_old)

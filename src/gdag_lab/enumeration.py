@@ -129,18 +129,13 @@ def enumerate_gdags(n: int) -> Iterator[GDag]:
         yield g
 
 
-class _ConditionCache:
-    def __init__(self) -> None:
-        self._cache: dict[tuple, bool] = {}
-
-    def holds(self, key: tuple, g: GDag) -> bool:
-        """Does the sufficient condition hold for g, whose canonical key
-        is key?"""
-        v = self._cache.get(key)
-        if v is None:
-            v = sufficient_condition_holds(g) is not None
-            self._cache[key] = v
-        return v
+def _holds(cond: dict[tuple, bool], key: tuple, g: GDag) -> bool:
+    """Does the sufficient condition hold for g, whose canonical key is
+    key?  Answers are memoised in ``cond``."""
+    v = cond.get(key)
+    if v is None:
+        v = cond[key] = sufficient_condition_holds(g) is not None
+    return v
 
 
 def _elimination_moves(g: GDag) -> Iterator[GDag]:
@@ -165,7 +160,7 @@ def _elimination_moves(g: GDag) -> Iterator[GDag]:
 
 
 def _reducible_to_smaller_failure(
-    key: tuple, g: GDag, cond: _ConditionCache
+    key: tuple, g: GDag, cond: dict[tuple, bool]
 ) -> bool:
     """Search reduction sequences from g, whose canonical key is key, for
     a strictly smaller condition-failing graph (fewer nodes, or equal
@@ -182,7 +177,7 @@ def _reducible_to_smaller_failure(
             if key in seen:
                 continue
             seen.add(key)
-            if (len(nxt.names), len(nxt.edges)) < start and not cond.holds(key, nxt):
+            if (len(nxt.names), len(nxt.edges)) < start and not _holds(cond, key, nxt):
                 return True
             queue.append(nxt)
     return False
@@ -206,7 +201,7 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     passing the C = I sufficient condition, and ``survivors`` the failing
     graphs not reducible to a strictly smaller failing graph.
     """
-    cond = _ConditionCache()
+    cond: dict[tuple, bool] = {}
     total = 0
     holds = 0
     failures: list[tuple[tuple, GDag]] = []
@@ -214,7 +209,7 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
         if progress and i and i % 2000 == 0:
             print(f"  examined {i} classes", file=sys.stderr)
         total += 1
-        if cond.holds(key, g):
+        if _holds(cond, key, g):
             holds += 1
         else:
             failures.append((key, g))

@@ -238,7 +238,13 @@ def parse_gdag(text: str) -> GDag:
         raise GraphError("expected object with 'nodes' and 'edges'")
     try:
         nodes = [(d["id"], NodeKind(d["kind"])) for d in obj["nodes"]]
-        edges = [(a, b) for a, b in obj["edges"]]
+        edges = list(obj["edges"])
     except (TypeError, KeyError, ValueError) as e:
         raise GraphError(f"malformed node or edge entry: {e}") from None
-    return GDag(nodes, edges)
+    for n, _ in nodes:
+        if not isinstance(n, str):
+            raise GraphError(f"node id {n!r} is not a string")
+    for e in edges:
+        if type(e) is not list or len(e) != 2 or not all(type(v) is str for v in e):
+            raise GraphError(f"edge {e!r} is not a pair of node ids")
+    return GDag(nodes, [(a, b) for a, b in edges])

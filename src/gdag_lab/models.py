@@ -33,11 +33,21 @@ def _check_names(variables: Iterable[tuple[str, int]]) -> None:
 
 
 def _parse_frac(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
+    if isinstance(s, str) or type(s) is int:
         return Fraction(s)
     raise ModelError(f"expected rational string, got {s!r}")
+
+
+def _parse_vars(entries) -> tuple[tuple[str, int], ...]:
+    """(id, card) pairs from JSON variable entries; a card is a JSON
+    integer, never a float, string or bool."""
+    out = []
+    for d in entries:
+        card = d["card"]
+        if type(card) is not int:
+            raise ModelError(f"cardinality {card!r} is not an integer")
+        out.append((d["id"], card))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -112,7 +122,7 @@ class Distribution:
     def from_json(text: str) -> "Distribution":
         try:
             obj = json.loads(text)
-            variables = tuple((d["id"], int(d["card"])) for d in obj["variables"])
+            variables = _parse_vars(obj["variables"])
             probs = tuple(_parse_frac(p) for p in obj["probs"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ModelError(f"bad distribution JSON: {e}") from None
@@ -167,8 +177,8 @@ class ConditionalDistribution:
     def from_json(text: str) -> "ConditionalDistribution":
         try:
             obj = json.loads(text)
-            variables = tuple((d["id"], int(d["card"])) for d in obj["variables"])
-            given = tuple((d["id"], int(d["card"])) for d in obj.get("given", []))
+            variables = _parse_vars(obj["variables"])
+            given = _parse_vars(obj.get("given", []))
             probs = tuple(_parse_frac(p) for p in obj["probs"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ModelError(f"bad conditional distribution JSON: {e}") from None

@@ -238,6 +238,35 @@ def test_latent_chains_fail(links):
     assert sufficient_condition_holds(latent_chain(8, links)) is None
 
 
+@pytest.mark.parametrize(
+    "g, found",
+    [
+        (one_sided_bell_gdag(), True),
+        (bell_gdag(), False),
+        (triangle_gdag(), False),
+        (latent_chain(5, True), False),
+    ],
+    ids=["one-sided-bell", "bell", "triangle", "latent-chain-5"],
+)
+def test_search_builds_no_graph(g, found, monkeypatch):
+    """Final graphs are tested on parent masks: the search constructs no
+    GDag, whether or not it finds a certificate."""
+    built = []
+    init = GDag.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GDag, "__init__", counting_init)
+    cert = sufficient_condition_holds(g)
+    monkeypatch.undo()
+    assert (cert is not None) == found
+    assert not built
+    if found:
+        assert cert.verify()
+
+
 @pytest.mark.parametrize("g", [latent_chain(6, True), one_sided_bell_gdag()], ids=["fail", "win"])
 def test_search_leaves_no_reference_cycle(g):
     """The failed-state set dies with the call, not at the next full

@@ -136,6 +136,15 @@ TWO_VAR_FAMILY = ConditionalDistribution(
 ).to_json()
 
 
+
+def _chain_point(cards, probs) -> str:
+    """Distribution JSON over the chain's X, Z, Y with raw JSON values."""
+    return json.dumps({
+        "variables": [{"id": n, "card": c} for n, c in zip("XZY", cards)],
+        "probs": probs,
+    })
+
+
 @pytest.mark.parametrize(
     "command, dist_text",
     [
@@ -146,10 +155,19 @@ TWO_VAR_FAMILY = ConditionalDistribution(
         (["check-dist", "CHAIN"], ONE_VAR_FAMILY),
         (["ineq", "triangle"], THREE_VARS.replace('"B"', '["B"]')),
         (["ineq", "instrumental"], TWO_VAR_FAMILY.replace('"Y"', '{"Y": 1}')),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2.9), ["1"] + ["0"] * 7)),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, "2"), ["1"] + ["0"] * 7)),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, True), ["1", "0", "0", "0"])),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2), [True] + [False] * 7)),
+        (["ineq", "instrumental"], json.dumps({
+            "variables": [{"id": "A", "card": 2}, {"id": "B", "card": 2}],
+            "given": [{"id": "Y", "card": True}], "probs": ["1", "0", "0", "0"],
+        })),
     ],
     ids=[
         "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
-        "check-dist-1-var", "list-id", "object-given-id",
+        "check-dist-1-var", "list-id", "object-given-id", "float-card",
+        "string-card", "bool-card", "bool-probs", "bool-given-card",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
@@ -311,6 +329,24 @@ def test_reduce_stdout_pinned(tmp_path, capsys, name, g):
     gp.write_text(g.to_json())
     assert run(["reduce", str(gp)]) == 0
     assert capsys.readouterr().out == REDUCED[name]
+
+
+@pytest.mark.parametrize(
+    "graph_text",
+    [
+        '{"nodes": [{"id": "A", "kind": "observed"}, {"id": "B", "kind": "observed"}], '
+        '"edges": ["AB"]}',
+        '{"nodes": [{"id": null, "kind": "observed"}], "edges": []}',
+    ],
+    ids=["string-edge", "null-id"],
+)
+def test_malformed_graph_exits_2(tmp_path, capsys, graph_text):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_text)
+    assert run(["reduce", str(gp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_reduce(tmp_path, capsys, bell_path):

@@ -112,8 +112,20 @@ def test_json_round_trip_fixed():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["not json", "[]", '{"nodes": []}', '{"nodes": [{"id": "A"}], "edges": []}']:
-        with pytest.raises(GraphError):
+    a, b = '{"id": "A", "kind": "observed"}', '{"id": "B", "kind": "observed"}'
+    for bad in [
+        "not json", "[]", '{"nodes": []}', '{"nodes": [{"id": "A"}], "edges": []}',
+        # an edge is a two-element list of node ids
+        f'{{"nodes": [{a}, {b}], "edges": ["AB"]}}',
+        f'{{"nodes": [{a}, {b}], "edges": "AB"}}',
+        f'{{"nodes": [{a}, {b}], "edges": [["A", "B", "A"]]}}',
+        f'{{"nodes": [{a}, {b}], "edges": [["A", 1]]}}',
+        # a node id is a string, never stringified
+        '{"nodes": [{"id": null, "kind": "observed"}], "edges": []}',
+        '{"nodes": [{"id": true, "kind": "observed"}], "edges": []}',
+        '{"nodes": [{"id": 1, "kind": "observed"}, {"id": "1", "kind": "observed"}], "edges": []}',
+    ]:
+        with pytest.raises(GraphError, match="invalid JSON|expected|malformed|not a"):
             parse_gdag(bad)
 
 
