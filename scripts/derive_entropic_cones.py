@@ -11,12 +11,12 @@ import sys
 import time
 
 from gdag_lab.catalog import bell_gdag, triangle_gdag
+from gdag_lab.cli import guarded, read_graph
 from gdag_lab.cones import (
     derive_classical_cone,
     derive_independence_cone,
     implied_by,
 )
-from gdag_lab.graph import parse_gdag
 
 
 def analyze(name, g, progress, allow_large):
@@ -40,21 +40,23 @@ def analyze(name, g, progress, allow_large):
         print("  cones coincide")
 
 
-def main() -> None:
+def analyze_all(args) -> int:
+    if args.graphs:
+        for path in args.graphs:
+            analyze(path, read_graph(path), args.progress, args.long_run)
+    else:
+        analyze("bell", bell_gdag(), args.progress, args.long_run)
+        analyze("triangle", triangle_gdag(), args.progress, args.long_run)
+    return 0
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("graphs", nargs="*", help="graph JSON files")
     ap.add_argument("--progress", action="store_true")
     ap.add_argument("--long-run", action="store_true")
-    args = ap.parse_args()
-
-    if args.graphs:
-        for path in args.graphs:
-            with open(path) as f:
-                analyze(path, parse_gdag(f.read()), args.progress, args.long_run)
-    else:
-        analyze("bell", bell_gdag(), args.progress, args.long_run)
-        analyze("triangle", triangle_gdag(), args.progress, args.long_run)
+    return guarded(analyze_all, ap.parse_args())
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

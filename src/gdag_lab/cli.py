@@ -52,7 +52,9 @@ def _read_json(path: str) -> str:
         raise CliError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _read_graph(path: str) -> GDag:
+def read_graph(path: str) -> GDag:
+    """The graph in the JSON file at ``path``; a missing file or a bad
+    graph raises an error that ``guarded`` reports."""
     return parse_gdag(_read_json(path))
 
 
@@ -74,7 +76,7 @@ def _split(arg: str | None) -> frozenset[str]:
 
 
 def _cmd_dsep(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     x, y, z = _split(args.x), _split(args.y), _split(args.z)
     try:
         st = CIStatement(x, y, z)
@@ -106,7 +108,7 @@ def _cmd_dsep(args) -> int:
 
 
 def _cmd_ci_set(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     print(observable_ci_set(g).to_json())
     return 0
 
@@ -127,7 +129,7 @@ def _instrumental_verdict(dist: ConditionalDistribution) -> tuple[Fraction, bool
 
 
 def _cmd_check_dist(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     dist = _read_dist(args.dist)
 
     out: dict = {}
@@ -183,7 +185,7 @@ def _cmd_ineq(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     cert = sufficient_condition_holds(g)
     if cert is None:
         print("unknown")
@@ -193,7 +195,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     print(reduce_gdag(g).to_json())
     return 0
 
@@ -209,7 +211,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_entropic(args) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(args.graph)
     ec = derive_classical_cone(g, allow_large=args.long_run, progress=args.progress)
     ei = derive_independence_cone(g, allow_large=args.long_run)
     out = {
@@ -290,8 +292,14 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    return guarded(args.func, args)
+
+
+def guarded(func, *args) -> int:
+    """``func(*args)``, with bad input reported as one ``error:`` line on
+    stderr and exit code 2 instead of a traceback."""
     try:
-        return args.func(args)
+        return func(*args)
     except (CliError, GraphError, ModelError, ConeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -299,3 +307,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

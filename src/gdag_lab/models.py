@@ -1,8 +1,8 @@
 """Exact-rational probability tables, classical network evaluation and
 information quantities.
 
-All probabilities are ``fractions.Fraction``; conditional-independence
-checks are exact.  Entropies are the only floating-point quantities.
+All probabilities are exact rationals, ``fractions.Fraction`` or
+``int``; conditional-independence checks are exact.  Entropies are the only floating-point quantities.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ def _check_names(variables: Iterable[tuple[str, int]]) -> None:
         if name in seen:
             raise ModelError(f"duplicate variable {name!r}")
         seen.add(name)
+
+
+def _check_probs(probs: Iterable) -> None:
+    """Every entry is an exact nonnegative rational: a Fraction or a
+    non-bool int."""
+    for p in probs:
+        if type(p) is bool or not isinstance(p, (Fraction, int)):
+            raise ModelError(f"probability {p!r} is not a Fraction or an int")
+        if p.numerator < 0:  # the sign of an int or a Fraction
+            raise ModelError("negative probability")
 
 
 def _parse_frac(s) -> Fraction:
@@ -68,8 +78,7 @@ class Distribution:
             raise ModelError(
                 f"expected {size} entries, got {len(self.probs)}"
             )
-        if any(p < 0 for p in self.probs):
-            raise ModelError("negative probability")
+        _check_probs(self.probs)
         if sum(self.probs, Fraction(0)) != 1:
             raise ModelError("probabilities must sum to exactly 1")
 
@@ -102,13 +111,16 @@ class Distribution:
                 raise ModelError(f"unknown variable {n!r}")
         kept_vars = tuple((n, self.card(n)) for n in keep)
         table: dict[tuple[int, ...], Fraction] = {}
+        # Tuples are built from lists: the dead tuples of ``tuple(genexpr)``,
+        # which over-allocates and resizes, pile up on CPython's per-size
+        # free lists and raise the process's peak memory.
         for outcome, p in zip(self.outcomes(), self.probs):
-            key = tuple(outcome[pos[n]] for n in keep)
+            key = tuple([outcome[pos[n]] for n in keep])
             table[key] = table.get(key, Fraction(0)) + p
-        probs = tuple(
+        probs = tuple([
             table.get(o, Fraction(0))
             for o in product(*(range(c) for _, c in kept_vars))
-        )
+        ])
         return Distribution(kept_vars, probs)
 
     def to_json(self) -> str:
@@ -147,8 +159,7 @@ class ConditionalDistribution:
         outer = math.prod(c for _, c in self.given)
         if len(self.probs) != inner * outer:
             raise ModelError("wrong table size")
-        if any(p < 0 for p in self.probs):
-            raise ModelError("negative probability")
+        _check_probs(self.probs)
         for k in range(outer):
             s = sum(self.probs[k * inner:(k + 1) * inner], Fraction(0))
             if s != 1:
@@ -214,21 +225,9 @@ class Kernel:
         for k, row in self.table.items():
             if len(row) != width:
                 raise ModelError(f"kernel row {k} has wrong length")
-            if any(p < 0 for p in row):
-                raise ModelError("negative probability")
+            _check_probs(row)
             if sum(row, Fraction(0)) != 1:
                 raise ModelError(f"kernel row {k} does not sum to 1")
-
-    def prob(
-        self,
-        output: int,
-        out_msgs: Sequence[int],
-        cond: Sequence[int],
-    ) -> Fraction:
-        idx = output
-        for (_, card), v in zip(self.out_edges, out_msgs):
-            idx = idx * card + v
-        return self.table[tuple(cond)][idx]
 
 
 @dataclass(frozen=True)
@@ -289,37 +288,120 @@ class ClassicalGmcModel:
                     raise ModelError(f"kernel out-edges mismatch at {name!r}")
 
 
+#: An integer factor: a scope of variables (observed node names and latent
+#: edges) and a table from assignments over that scope to numerators.
+_Factor = tuple[tuple, dict[tuple, int]]
+
+
+def _kernel_factor(model: ClassicalGmcModel, name: str) -> tuple[tuple, dict, int]:
+    """Node ``name``'s kernel as an integer factor: (scope, table, L).
+
+    The scope is the observed parents and in-edge messages, then the
+    output: the node itself if observed, its out-edge messages if latent.
+    The table maps each assignment with a nonzero entry to its numerator
+    over L, the least common denominator of the kernel's entries."""
+    k = model.kernels[name]
+    if model.gdag.is_observed(name):
+        outputs, out_cards = (name,), (k.out_card,)
+    else:
+        outputs = tuple(e for e, _ in k.out_edges)
+        out_cards = tuple(c for _, c in k.out_edges)
+    scope = tuple(n for n, _ in k.obs_parents) + tuple(e for e, _ in k.in_edges) + outputs
+    lcm = math.lcm(*{p.denominator for row in k.table.values() for p in row})
+    out_values = list(product(*(range(c) for c in out_cards)))
+    table = {}
+    for cond, row in k.table.items():
+        for out, p in zip(out_values, row):
+            if p:
+                table[cond + out] = p.numerator * (lcm // p.denominator)
+    return scope, table, lcm
+
+
+def _multiply(f: _Factor, g: _Factor) -> _Factor:
+    """The product of two integer factors, over f's scope then the rest
+    of g's."""
+    f_scope, f_table = f
+    g_scope, g_table = g
+    f_pos = {v: i for i, v in enumerate(f_scope)}
+    shared = [i for i, v in enumerate(g_scope) if v in f_pos]
+    rest = [i for i, v in enumerate(g_scope) if v not in f_pos]
+    by_shared: dict[tuple, list] = {}
+    # Tuples from lists, as in ``Distribution.marginal``.
+    for b, y in g_table.items():
+        by_shared.setdefault(tuple([b[i] for i in shared]), []).append(
+            (tuple([b[i] for i in rest]), y)
+        )
+    f_shared = [f_pos[g_scope[i]] for i in shared]
+    table = {}
+    for a, x in f_table.items():
+        for b, y in by_shared.get(tuple([a[i] for i in f_shared]), ()):
+            table[a + b] = x * y
+    return f_scope + tuple(g_scope[i] for i in rest), table
+
+
+def _sum_out(f: _Factor, v) -> _Factor:
+    scope, table = f
+    i = scope.index(v)
+    out: dict[tuple, int] = {}
+    for a, x in table.items():
+        key = a[:i] + a[i + 1:]
+        out[key] = out.get(key, 0) + x
+    return scope[:i] + scope[i + 1:], out
+
+
+def _joined_size(factors: list[_Factor], v, card: Mapping) -> int:
+    """The table size of the product of every factor that mentions v."""
+    joined = {u for scope, _ in factors if v in scope for u in scope}
+    return math.prod(card[u] for u in joined)
+
+
 def observed_from_classical_gmc(model: ClassicalGmcModel) -> Distribution:
-    """Sum the product of node kernels over all latent edge messages."""
+    """Sum the product of node kernels over all latent edge messages.
+
+    Exact sum-product on integer tables: each kernel becomes a table of
+    numerators over its own least common denominator, latent messages
+    are summed out one at a time (the one whose joined table is smallest
+    first), and the remaining product over the observed nodes is divided
+    by the product D of the kernel denominators.  Integer sums and
+    products are exact, so the result equals the plain sum over every
+    joint message assignment."""
     g = model.gdag
     obs = g.observed_nodes()
     variables = tuple((n, model.kernels[n].out_card) for n in obs)
-    obs_pos = {n: i for i, n in enumerate(obs)}
-    latent_edges = [e for e in g.edges if not g.is_observed(e[0])]
-    edge_pos = {e: i for i, e in enumerate(latent_edges)}
-    edge_ranges = [range(model.edge_cards[e]) for e in latent_edges]
+    card = dict(variables)
+    card.update(model.edge_cards)
 
-    probs = []
-    for outcome in product(*(range(c) for _, c in variables)):
-        total = Fraction(0)
-        for msgs in product(*edge_ranges):
-            p = Fraction(1)
-            for name in g.names:
-                k = model.kernels[name]
-                cond = tuple(
-                    outcome[obs_pos[pn]] for pn, _ in k.obs_parents
-                ) + tuple(msgs[edge_pos[e]] for e, _ in k.in_edges)
-                if g.is_observed(name):
-                    p *= k.prob(outcome[obs_pos[name]], (), cond)
-                else:
-                    p *= k.prob(
-                        0, tuple(msgs[edge_pos[e]] for e, _ in k.out_edges), cond
-                    )
-                if not p:
-                    break
-            total += p
-        probs.append(total)
-    return Distribution(variables, tuple(probs))
+    factors = []
+    denominator = 1
+    for name in g.names:
+        scope, table, lcm = _kernel_factor(model, name)
+        factors.append((scope, table))
+        denominator *= lcm
+
+    pending = [e for e in g.edges if not g.is_observed(e[0])]
+    while pending:
+        e = min(pending, key=lambda e: _joined_size(factors, e, card))
+        pending.remove(e)
+        using = [f for f in factors if e in f[0]]
+        factors = [f for f in factors if e not in f[0]]
+        joined = using[0]
+        for f in using[1:]:
+            joined = _multiply(joined, f)
+        factors.append(_sum_out(joined, e))
+
+    joint: _Factor = ((), {(): 1})
+    for f in factors:
+        joint = _multiply(joint, f)
+    pos = [joint[0].index(n) for n in obs]
+    numerators = [0] * math.prod(c for _, c in variables)
+    for a, x in joint[1].items():
+        idx = 0
+        for n, i in zip(obs, pos):
+            idx = idx * card[n] + a[i]
+        numerators[idx] = x
+    return Distribution(
+        variables, tuple([Fraction(x, denominator) for x in numerators])
+    )
 
 
 # -- conditional independence and information quantities ----------------

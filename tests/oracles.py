@@ -27,6 +27,7 @@ from gdag_lab.classify import (
 )
 from gdag_lab.dsep import _dsep_mask, _observed_triples
 from gdag_lab.graph import GDag, GraphError, NodeKind, _bits
+from gdag_lab.models import ClassicalGmcModel, Distribution, Kernel
 
 
 def canonical_key_oracle(g: GDag) -> tuple:
@@ -521,3 +522,48 @@ def phase1_oracle(
         if j < n:
             x[j] = T[i][width]
     return x
+
+
+def _kernel_prob(
+    k: Kernel, output: int, out_msgs: Sequence[int], cond: Sequence[int]
+) -> Fraction:
+    idx = output
+    for (_, card), v in zip(k.out_edges, out_msgs):
+        idx = idx * card + v
+    return k.table[tuple(cond)][idx]
+
+
+def observed_oracle(model: ClassicalGmcModel) -> Distribution:
+    """The observed joint by brute force: for every observed outcome and
+    every joint latent message, the product of every node's kernel entry
+    as a ``Fraction``.  The reference for the integer sum-product of
+    ``models.observed_from_classical_gmc``."""
+    g = model.gdag
+    obs = g.observed_nodes()
+    variables = tuple((n, model.kernels[n].out_card) for n in obs)
+    obs_pos = {n: i for i, n in enumerate(obs)}
+    latent_edges = [e for e in g.edges if not g.is_observed(e[0])]
+    edge_pos = {e: i for i, e in enumerate(latent_edges)}
+    edge_ranges = [range(model.edge_cards[e]) for e in latent_edges]
+
+    probs = []
+    for outcome in product(*(range(c) for _, c in variables)):
+        total = Fraction(0)
+        for msgs in product(*edge_ranges):
+            p = Fraction(1)
+            for name in g.names:
+                k = model.kernels[name]
+                cond = tuple(
+                    outcome[obs_pos[pn]] for pn, _ in k.obs_parents
+                ) + tuple(msgs[edge_pos[e]] for e, _ in k.in_edges)
+                if g.is_observed(name):
+                    p *= _kernel_prob(k, outcome[obs_pos[name]], (), cond)
+                else:
+                    p *= _kernel_prob(
+                        k, 0, tuple(msgs[edge_pos[e]] for e, _ in k.out_edges), cond
+                    )
+                if not p:
+                    break
+            total += p
+        probs.append(total)
+    return Distribution(variables, tuple(probs))

@@ -390,3 +390,16 @@ def test_missing_file_and_bad_usage(capsys):
     assert run(["dsep", "/no/such/file", "--x", "A", "--y", "B"]) == 2
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+
+
+def test_module_entry_point_exits_2_on_bad_input(tmp_path):
+    gp = tmp_path / "bad.json"
+    gp.write_text('{"nodes": [{"id": "A", "kind": "observed"}], "edges": [["A", "B"]]}')
+    src = str(Path(gdag_lab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdag_lab.cli", "entropic", str(gp)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: edge ('A', 'B') references unknown node\n"

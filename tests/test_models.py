@@ -1,5 +1,7 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -27,7 +29,9 @@ from generators import (
     random_gdag,
     random_markov_model,
     random_prob_row,
+    random_triangle_distribution,
 )
+from oracles import observed_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -94,6 +98,18 @@ def test_kernel_validation():
         Kernel("A", 2, (), (), (), {(): (H, Q)})
     with pytest.raises(ModelError):
         Kernel("A", 2, (("B", 2),), (), (), {(0,): (H, H)})
+
+
+@pytest.mark.parametrize("entry", [0.5, True, "1/2", None], ids=repr)
+def test_inexact_entries_rejected(entry):
+    """Only a Fraction or a non-bool int is an exact probability."""
+    other = 1 - entry if isinstance(entry, (float, bool)) else H
+    with pytest.raises(ModelError, match="is not a Fraction or an int"):
+        Kernel("A", 2, (), (), (), {(): (entry, other)})
+    with pytest.raises(ModelError, match="is not a Fraction or an int"):
+        Distribution((("A", 2),), (entry, other))
+    with pytest.raises(ModelError, match="is not a Fraction or an int"):
+        ConditionalDistribution((("A", 2),), (("Y", 1),), (entry, other))
 
 
 def chain_model(table) -> ClassicalGmcModel:
@@ -280,3 +296,121 @@ def test_strong_subadditivity_random(seed):
     a, b, *rest = p.names
     assert conditional_mutual_information(p, {a}, {b}, set(rest)) >= -1e-9
     assert mutual_information(p, {a}, {b}) >= -1e-9
+
+
+# -- the evaluator against the brute-force oracle ------------------------
+
+
+def test_observed_matches_oracle_on_random_models():
+    rng = Random(20261018)
+    checked = latent_to_latent = 0
+    while checked < 300:
+        g = random_gdag(rng, max_nodes=6)
+        m = random_classical_gmc(rng, g)
+        if m is None:
+            continue
+        assert observed_from_classical_gmc(m).to_json() == observed_oracle(m).to_json()
+        latent_to_latent += any(
+            not g.is_observed(a) and not g.is_observed(b) for a, b in g.edges
+        )
+        checked += 1
+    assert latent_to_latent >= 30
+
+
+def model_on(rng, g, edge_cards, out_cards, zero_every=0):
+    """A classical model on ``g`` with the given cardinalities; with
+    ``zero_every`` = k, each kernel entry after a row's first is, with
+    chance 1/k, moved onto that first entry, so rows contain zeros."""
+    kernels = {}
+    for name in g.names:
+        obs_pa = tuple(
+            (p, out_cards[p]) for p in g.names if p in g.parents(name) and g.is_observed(p)
+        )
+        in_e = tuple((e, edge_cards[e]) for e in g.edges if e[1] == name and e in edge_cards)
+        out_e = () if g.is_observed(name) else tuple(
+            (e, edge_cards[e]) for e in g.edges if e[0] == name
+        )
+        width = out_cards[name] * math.prod(c for _, c in out_e)
+        table = {}
+        for key in product(*(range(c) for _, c in obs_pa + in_e)):
+            row = list(random_prob_row(rng, width))
+            for i in range(1, width):
+                if zero_every and rng.randrange(zero_every) == 0:
+                    row[0], row[i] = row[0] + row[i], Fraction(0)
+            table[key] = tuple(row)
+        kernels[name] = Kernel(name, out_cards[name], obs_pa, in_e, out_e, table)
+    return ClassicalGmcModel(g, edge_cards, kernels)
+
+
+def _latent_edge_cards(g, card):
+    return {e: card for e in g.edges if not g.is_observed(e[0])}
+
+
+EDGE_CASES = {
+    # no latent edge at all: a Bayesian network on X -> Z -> Y
+    "no-latent-edge": (chain(), 2, {"X": 2, "Z": 3, "Y": 2}, 0),
+    # a latent node with an observed parent: X -> L -> {A, B}
+    "latent-with-observed-parent": (
+        GDag([("X", OBS), ("L", UNOBS), ("A", OBS), ("B", OBS)],
+             [("X", "L"), ("L", "A"), ("L", "B"), ("X", "A")]),
+        3, {"X": 2, "L": 1, "A": 2, "B": 3}, 0,
+    ),
+    # latent -> latent: L1 -> L2 -> {A, B}, L1 -> {B, C}
+    "latent-to-latent": (
+        GDag([("L1", UNOBS), ("L2", UNOBS), ("A", OBS), ("B", OBS), ("C", OBS)],
+             [("L1", "L2"), ("L2", "A"), ("L2", "B"), ("L1", "B"), ("L1", "C"), ("A", "C")]),
+        2, {"L1": 1, "L2": 1, "A": 2, "B": 2, "C": 3}, 0,
+    ),
+    # observed outputs of cardinality 1, one of them a parent
+    "output-cardinality-1": (
+        GDag([("L", UNOBS), ("A", OBS), ("B", OBS), ("C", OBS)],
+             [("L", "A"), ("L", "B"), ("A", "C"), ("B", "C")]),
+        3, {"L": 1, "A": 1, "B": 2, "C": 1}, 0,
+    ),
+    # kernel rows with zeros, on the triangle
+    "rows-with-zeros": (
+        GDag([("A", OBS), ("B", OBS), ("C", OBS),
+              ("LAB", UNOBS), ("LAC", UNOBS), ("LBC", UNOBS)],
+             [("LAB", "A"), ("LAB", "B"), ("LAC", "A"), ("LAC", "C"),
+              ("LBC", "B"), ("LBC", "C")]),
+        3, {"A": 2, "B": 3, "C": 2, "LAB": 1, "LAC": 1, "LBC": 1}, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_observed_matches_oracle_on_edge_cases(case):
+    g, card, out_cards, zero_every = EDGE_CASES[case]
+    rng = Random(case)
+    for _ in range(5):
+        m = model_on(rng, g, _latent_edge_cards(g, card), out_cards, zero_every)
+        p = observed_from_classical_gmc(m)
+        assert p.to_json() == observed_oracle(m).to_json()
+        assert satisfies_I(g, p).holds
+    if zero_every:
+        assert any(x == 0 for k in m.kernels.values() for row in k.table.values() for x in row)
+
+
+def _digest(dists) -> str:
+    return hashlib.sha256("".join(p.to_json() + "\n" for p in dists).encode()).hexdigest()
+
+
+def test_pinned_digest_of_random_gdag_models():
+    """The first 1,000 models drawn as ``test_classical_models_satisfy_I``
+    draws them; the digest was taken with the brute-force evaluator."""
+    rng = Random(20260826)
+    dists = []
+    while len(dists) < 1000:
+        g = random_gdag(rng, max_nodes=6)
+        m = random_classical_gmc(rng, g, max_card=3)
+        if m is not None:
+            dists.append(observed_from_classical_gmc(m))
+    assert _digest(dists) == "672e8a7af581709617a690c5530c389032e1395467c471a467661cfc344fe2f0"
+
+
+def test_pinned_digest_of_random_triangle_distributions():
+    """50 triangle draws from one stream; the digest was taken with the
+    brute-force evaluator."""
+    rng = Random(7)
+    dists = [random_triangle_distribution(rng, max_latent_card=4) for _ in range(50)]
+    assert _digest(dists) == "e901bce9636859d4cccf4bf251e6382da3935a21023a9f77d5e772ca1ac272f9"

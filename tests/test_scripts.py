@@ -5,17 +5,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gdag_lab.catalog import bell_gdag
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name: str, *args: str) -> str:
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _run_script(name: str, *args: str) -> str:
+    proc = _script(name, *args)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
@@ -37,3 +44,24 @@ def test_derive_entropic_cones_on_a_graph_file(tmp_path):
     assert "  classical cone: 17 rows\n" in out
     assert "  independence cone: 17 rows\n" in out
     assert out.endswith("  cones coincide\n")
+
+
+@pytest.mark.parametrize(
+    "graph_text, message",
+    [
+        (
+            '{"nodes": [{"id": "A", "kind": "observed"}], "edges": [["A", "B"]]}',
+            "error: edge ('A', 'B') references unknown node\n",
+        ),
+        (None, "error: cannot read {path}: No such file or directory\n"),
+    ],
+    ids=["unknown-node", "missing-file"],
+)
+def test_derive_entropic_cones_bad_input_exits_2(tmp_path, graph_text, message):
+    gp = tmp_path / "graph.json"
+    if graph_text is not None:
+        gp.write_text(graph_text)
+    proc = _script("derive_entropic_cones.py", str(gp))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == message.format(path=gp)
