@@ -31,7 +31,7 @@ from .inequalities import (
     triangle_monogamy_margin,
 )
 from .classify import reduce as reduce_gdag, sufficient_condition_holds
-from .enumeration import classification_census
+from .enumeration import CENSUS_MAX_N, classification_census
 from .cones import (
     ConeError,
     derive_classical_cone,
@@ -201,8 +201,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if not 1 <= args.n <= 7:
-        raise CliError("census supports 1 <= n <= 7")
+    if not 1 <= args.n <= CENSUS_MAX_N:
+        raise CliError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
     if args.n >= 6 and not args.long_run:
         raise CliError(f"census --n {args.n} requires --long-run")
     report = classification_census(args.n, progress=args.progress)

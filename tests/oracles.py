@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from gdag_lab.classify import (
@@ -44,6 +44,24 @@ def canonical_key_oracle(g: GDag) -> tuple:
         )
         for perm in permutations(range(n))
     )
+
+
+def labelled_scan_oracle(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(kinds, child masks) of every labelled n-node graph whose edges
+    all point from a lower to a higher node index: the edge subsets
+    ``edge_bits`` of the upper triangle (bit k for the k-th pair of
+    ``combinations(range(n), 2)``), each crossed with every kind vector
+    ``kind_bits`` (bit i set when node i is unobserved).  Every DAG relabels
+    to one of them, so the scan meets every isomorphism class; the
+    reference for the sink-extension enumeration."""
+    pairs = list(combinations(range(n), 2))
+    for edge_bits in range(1 << len(pairs)):
+        child_mask = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if (edge_bits >> k) & 1:
+                child_mask[i] |= 1 << j
+        for kind_bits in range(1 << n):
+            yield [(kind_bits >> i) & 1 for i in range(n)], child_mask
 
 
 def dsep_moral_oracle(g: GDag, x, y, z) -> bool:

@@ -365,6 +365,8 @@ def test_census_guards(capsys):
     assert run(["census", "--n", "6"]) == 2
     err = capsys.readouterr().err
     assert "--long-run" in err
+    assert run(["census", "--n", "7", "--long-run"]) == 2
+    assert capsys.readouterr().err == "error: census supports 1 <= n <= 6\n"
 
 
 def test_entropic_compare(tmp_path, capsys):

@@ -1,15 +1,24 @@
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdag_lab import enumeration
 from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
 from gdag_lab.enumeration import (
     CensusReport,
+    _class_codes,
     _enumerate_classes,
+    _graph_of_key,
+    _holds,
+    _key_of_code,
     _key_of_masks,
+    _reducible_to_smaller_failure,
+    _scan_rank,
+    _sink_extensions,
     canonical_form,
     canonical_key,
     classification_census,
@@ -19,7 +28,7 @@ from gdag_lab.enumeration import (
 from gdag_lab.graph import GDag, NodeKind
 
 from generators import random_gdag
-from oracles import canonical_key_oracle
+from oracles import canonical_key_oracle, labelled_scan_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -46,28 +55,74 @@ def test_canonical_key_small_pinned():
     assert canonical_key(GDag([("A", UNOBS)])) == ((1,), (0,))
 
 
+def _graph_of_masks(kinds: list[int], child_mask: list[int]) -> GDag:
+    names = "ABCDEF"[: len(kinds)]
+    return GDag(
+        [(names[v], _kind(b)) for v, b in enumerate(kinds)],
+        [(names[v], names[w]) for v in range(len(kinds)) for w in range(len(kinds))
+         if (child_mask[v] >> w) & 1],
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_key_matches_oracle_on_labelled_scan(n):
-    """Every labelled graph of the census scan (upper-triangular edge
-    subsets crossed with kind vectors) gets the brute-force key, and the
-    classes come out in the scan's first-occurrence order."""
-    names = "ABCD"[:n]
-    pairs = list(combinations(range(n), 2))
+    """Every labelled graph of the scan over upper-triangular edge subsets
+    and kind vectors gets the brute-force key; sink extension finds
+    exactly the scan's classes, each once; and ``_scan_rank`` sorts them
+    into the scan's first-occurrence order."""
     first_seen: dict[tuple, None] = {}
-    for edge_bits in range(1 << len(pairs)):
-        edges = [
-            (names[i], names[j])
-            for k, (i, j) in enumerate(pairs)
-            if (edge_bits >> k) & 1
-        ]
-        for kind_bits in range(1 << n):
-            kinds = [(kind_bits >> i) & 1 for i in range(n)]
-            g = GDag([(names[i], _kind(kinds[i])) for i in range(n)], edges)
-            expected = canonical_key_oracle(g)
-            assert canonical_key(g) == expected
-            assert _key_of_masks(kinds, g.child_mask) == expected
-            first_seen.setdefault(expected, None)
-    assert [key for key, _ in _enumerate_classes(n)] == list(first_seen)
+    for kinds, child_mask in labelled_scan_oracle(n):
+        g = _graph_of_masks(kinds, child_mask)
+        expected = canonical_key_oracle(g)
+        assert canonical_key(g) == expected
+        assert _key_of_masks(kinds, child_mask) == expected
+        first_seen.setdefault(expected, None)
+    classes = list(_enumerate_classes(n))
+    assert len(classes) == len(first_seen)
+    assert {key for key, _ in classes} == set(first_seen)
+    ranked = sorted(classes, key=lambda kg: _scan_rank(kg[1]))
+    assert [key for key, _ in ranked] == list(first_seen)
+
+
+def test_sink_extension_keys_match_oracle_at_n6():
+    """A seeded sample of 6-node sink extensions (5-node class, kind of
+    the new sink, parent set): the extended masks are the class's
+    canonical form plus that sink, and they get the brute-force key."""
+    rng = Random(20261018)
+    codes = list(_class_codes(5))
+    for _ in range(300):
+        base = rng.choice(codes)
+        kind, parents = rng.randrange(2), rng.randrange(1 << 5)
+        kinds, child_mask = list(_sink_extensions(5, base))[kind << 5 | parents]
+        g5 = _graph_of_key(_key_of_code(5, base))
+        g = GDag(
+            [*zip(g5.names, g5.kinds), ("F", _kind(kind))],
+            [*g5.edges, *((g5.names[v], "F") for v in range(5) if (parents >> v) & 1)],
+        )
+        assert kinds == [0 if k is OBS else 1 for k in g.kinds]
+        assert tuple(child_mask) == g.child_mask
+        assert _key_of_masks(kinds, child_mask) == canonical_key_oracle(g)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_census_survivors_in_scan_order(n, monkeypatch):
+    """The survivors are the failing classes of the labelled scan, in
+    first-occurrence order, that the survivor search keeps, whatever
+    order the classes are enumerated in."""
+    first_seen = dict.fromkeys(
+        _key_of_masks(kinds, child_mask)
+        for kinds, child_mask in labelled_scan_oracle(n)
+    )
+    cond: dict[tuple, bool] = {}
+    expected = []
+    for key in first_seen:
+        g = _graph_of_key(key)
+        if not _holds(cond, key, g) and not _reducible_to_smaller_failure(key, g, cond):
+            expected.append(g)
+    assert classification_census(n).survivors == tuple(expected)
+    classes = list(_enumerate_classes(n))
+    monkeypatch.setattr(enumeration, "_enumerate_classes", lambda n: reversed(classes))
+    assert classification_census(n).survivors == tuple(expected)
 
 
 @st.composite
@@ -204,3 +259,19 @@ def test_census_n4():
 def test_census_csv_row():
     r = CensusReport(2, 7, 7, ())
     assert r.csv_row() == "2,7,7,0"
+
+
+@pytest.mark.long_run
+def test_census_n6():
+    """The six-node census (minutes): its row, the class count by number
+    of latent nodes, and the survivors in scan order."""
+    r = classification_census(6)
+    assert r.csv_row() == "6,357468,347287,19"
+    lines = "".join(g.to_json() + "\n" for g in r.survivors)
+    assert sha256(lines.encode()).hexdigest() == (
+        "6aa007dee5143dafe6a20d959a1c3ea45ed6ab62fc7c9abf277b5041a465c1a9"
+    )
+    latent = Counter(6 - (code >> 36) for code in _class_codes(6))
+    assert [latent[u] for u in range(7)] == [
+        5984, 34206, 83396, 110296, 83396, 34206, 5984
+    ]

@@ -36,6 +36,14 @@ def test_run_census_prints_the_table():
     )
 
 
+@pytest.mark.parametrize("max_n", ["0", "7"])
+def test_run_census_size_guard_exits_2(max_n):
+    proc = _script("run_census.py", "--max-n", max_n)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: census supports 1 <= n <= 6\n"
+
+
 def test_derive_entropic_cones_on_a_graph_file(tmp_path):
     gp = tmp_path / "bell.json"
     gp.write_text(bell_gdag().to_json())
