@@ -87,6 +87,8 @@ class Cone:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ConeError(f"repeated cone variable in {list(self.variables)}")
         size = (1 << len(self.variables)) - 1
         for r in self.rows:
             if len(r) != size:
@@ -157,7 +159,9 @@ class Cone:
                 if norm is None:
                     raise ConeError("zero inequality row")
                 rows.append(norm)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (
+            json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError
+        ) as e:
             raise ConeError(f"bad cone JSON: {e}") from None
         return Cone(variables, tuple(rows))
 

@@ -5,7 +5,9 @@ The n-node classes are built by sink extension: every (n-1)-node class
 plus a new sink of either kind with every parent set, deduplicated by
 canonical key (the first step of isomorph-free generation by canonical
 augmentation, McKay 1998).  Classes therefore come in sink-extension
-order, not in the order of a scan over labelled graphs.
+order, not in the order of a scan over labelled graphs.  A canonical key
+is one int that also encodes the node count (see ``_code_of_masks``), so
+keys of graphs of different sizes never collide.
 
 The census evaluates the C = I sufficient condition on every isomorphism
 class.  Survivors are the condition-failing graphs from which no strictly
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
@@ -36,17 +37,18 @@ _NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _code_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> int:
-    """Canonical code of the graph with node kinds ``kinds`` (0 observed,
-    1 unobserved) and children ``child_mask[v]`` of each node v: the
-    canonical key of ``_key_of_masks`` packed into one int, the observed
-    count above the n*n adjacency bits.
+    """Canonical key of the graph with node kinds ``kinds`` (0 observed,
+    1 unobserved) and children ``child_mask[v]`` of each node v, packed
+    into one int: ``(2 << n | k) << n*n | bits`` for n nodes, k of them
+    observed.  The leading 1 (bit n*n + n + 1) makes keys of different
+    sizes distinct.
 
-    The key is the minimum, over node relabellings, of the pair (kind
-    vector, adjacency bits read row-major).  Kinds lead the pair, so only
-    relabellings that put every observed node before every unobserved one
-    reach the minimal kind vector; the search tries just those.  Each
-    candidate is scored as one int holding the bits most significant
-    first, which orders candidates as the bits tuples do.
+    ``bits`` is the minimum, over relabellings that put every observed
+    node before every unobserved one, of the adjacency bits read
+    row-major, most significant first: bit ``n*n - 1 - (n*i + j)`` is the
+    edge i -> j.  This is the minimum over all n! relabellings of the
+    pair (kind vector, adjacency bits), since only those relabellings
+    reach the minimal kind vector.
     """
     n = len(kinds)
     observed = [v for v in range(n) if not kinds[v]]
@@ -67,84 +69,58 @@ def _code_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> int:
                 score |= 1 << (top - n * at[v] - at[w])
             if best is None or score < best:
                 best = score
-    return k << (n * n) | best
+    return (2 << n | k) << (n * n) | best
 
 
-@cache
-def _kind_vector(n: int, k: int) -> tuple[int, ...]:
-    """k observed then n - k unobserved kinds, as one tuple shared by
-    every key with that kind vector: a census holds one key per class."""
-    return (0,) * k + (1,) * (n - k)
-
-
-def _key_of_code(n: int, code: int) -> tuple:
-    """The canonical key an n-node code packs."""
+def _masks_of_code(n: int, code: int) -> tuple[list[int], list[int]]:
+    """(kinds, child masks) of the canonical form of the n-node class
+    whose key is ``code``: its observed nodes first."""
+    k = (code >> (n * n)) ^ (2 << n)
     top = n * n - 1
-    return _kind_vector(n, code >> (n * n)), tuple(
-        (code >> (top - i)) & 1 for i in range(n * n)
-    )
+    child_mask = [
+        sum(1 << j for j in range(n) if (code >> (top - n * i - j)) & 1)
+        for i in range(n)
+    ]
+    return [0] * k + [1] * (n - k), child_mask
 
 
-def _key_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> tuple:
-    """Canonical key (kind vector, adjacency bits read row-major) of the
-    graph with node kinds ``kinds`` and children ``child_mask[v]``; see
-    ``_code_of_masks``."""
-    return _key_of_code(len(kinds), _code_of_masks(kinds, child_mask))
-
-
-def canonical_key(g: GDag) -> tuple:
-    """A total invariant of kind-preserving isomorphism.
-
-    The minimum, over all node permutations, of the pair (kind vector,
-    adjacency bits read row-major).  Only the permutations that sort
-    observed nodes before unobserved ones can reach the minimal kind
-    vector, so only those are searched; the key is the same as over all
-    n! permutations.
-    """
-    return _key_of_masks(
+def canonical_key(g: GDag) -> int:
+    """A total invariant of kind-preserving isomorphism: the packed int
+    of ``_code_of_masks``."""
+    return _code_of_masks(
         [0 if k is NodeKind.OBSERVED else 1 for k in g.kinds], g.child_mask
     )
 
 
-def _graph_of_key(key: tuple) -> GDag:
-    """The graph a canonical key encodes, on the names of _NAMES."""
-    kv, bits = key
-    n = len(kv)
-    nodes = [
-        (_NAMES[i], NodeKind.OBSERVED if kv[i] == 0 else NodeKind.UNOBSERVED)
-        for i in range(n)
-    ]
-    edges = [
-        (_NAMES[i], _NAMES[j])
-        for i in range(n)
-        for j in range(n)
-        if bits[i * n + j]
-    ]
-    return GDag(nodes, edges)
+def _graph_of_key(n: int, key: int) -> GDag:
+    """The n-node graph a canonical key encodes, on the names of _NAMES."""
+    kinds, child_mask = _masks_of_code(n, key)
+    return GDag(
+        [
+            (_NAMES[v], NodeKind.UNOBSERVED if kinds[v] else NodeKind.OBSERVED)
+            for v in range(n)
+        ],
+        [(_NAMES[v], _NAMES[w]) for v in range(n) for w in _bits(child_mask[v])],
+    )
 
 
 def canonical_form(g: GDag) -> GDag:
     """Canonical representative of the kind-preserving isomorphism class."""
-    return _graph_of_key(canonical_key(g))
+    return _graph_of_key(len(g.names), canonical_key(g))
 
 
 def isomorphic(g: GDag, h: GDag) -> bool:
-    return len(g.names) == len(h.names) and canonical_key(g) == canonical_key(h)
+    return canonical_key(g) == canonical_key(h)
 
 
 def _sink_extensions(m: int, base: int) -> Iterator[tuple[list[int], list[int]]]:
     """(kinds, child masks) of every graph made from the m-node class
-    with code ``base`` by adding node m as a sink: first observed, then
+    with key ``base`` by adding node m as a sink: first observed, then
     unobserved, and for each kind every parent set, as the bitmask
     ``parents`` counts up from 0."""
-    k = base >> (m * m)
-    top = m * m - 1
-    base_mask = [
-        sum(1 << j for j in range(m) if (base >> (top - m * i - j)) & 1)
-        for i in range(m)
-    ]
+    base_kinds, base_mask = _masks_of_code(m, base)
     for kind in (0, 1):
-        kinds = [0] * k + [1] * (m - k) + [kind]
+        kinds = base_kinds + [kind]
         for parents in range(1 << m):
             child_mask = [
                 c | (((parents >> v) & 1) << m) for v, c in enumerate(base_mask)
@@ -154,18 +130,18 @@ def _sink_extensions(m: int, base: int) -> Iterator[tuple[list[int], list[int]]]
 
 
 def _class_codes(n: int) -> Iterator[int]:
-    """The code (see ``_code_of_masks``) of every n-node isomorphism
-    class, each once.
+    """The canonical key (see ``_code_of_masks``) of every n-node
+    isomorphism class, each once.
 
     Every DAG has a sink, and deleting it leaves an (n-1)-node DAG, so
     every n-node class is an (n-1)-node class plus a new sink of either
-    kind with some parent set.  Only the (n-1)-node codes are held as a
-    list; every extension of each is keyed, and the n-node codes are
+    kind with some parent set.  Only the (n-1)-node keys are held as a
+    list; every extension of each is keyed, and the n-node keys are
     yielded as they are first seen.  The recursion starts from the one
     empty graph.
     """
     if n == 0:
-        yield 0
+        yield _code_of_masks([], [])
         return
     seen: set[int] = set()
     for base in list(_class_codes(n - 1)):
@@ -176,7 +152,7 @@ def _class_codes(n: int) -> Iterator[int]:
                 yield code
 
 
-def _enumerate_classes(n: int) -> Iterator[tuple[tuple, GDag]]:
+def _enumerate_classes(n: int) -> Iterator[tuple[int, GDag]]:
     """(canonical key, canonical form) of every n-node isomorphism class,
     built by sink extension from the (n-1)-node classes (see
     ``_class_codes``).  A GDag is built only for each class yielded.
@@ -187,9 +163,8 @@ def _enumerate_classes(n: int) -> Iterator[tuple[tuple, GDag]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    for code in _class_codes(n):
-        key = _key_of_code(n, code)
-        yield key, _graph_of_key(key)
+    for key in _class_codes(n):
+        yield key, _graph_of_key(n, key)
 
 
 def enumerate_gdags(n: int) -> Iterator[GDag]:
@@ -220,7 +195,7 @@ def _scan_rank(g: GDag) -> tuple[int, int]:
     )
 
 
-def _holds(cond: dict[tuple, bool], key: tuple, g: GDag) -> bool:
+def _holds(cond: dict[int, bool], key: int, g: GDag) -> bool:
     """Does the sufficient condition hold for g, whose canonical key is
     key?  Answers are memoised in ``cond``."""
     v = cond.get(key)
@@ -251,7 +226,7 @@ def _elimination_moves(g: GDag) -> Iterator[GDag]:
 
 
 def _reducible_to_smaller_failure(
-    key: tuple, g: GDag, cond: dict[tuple, bool]
+    key: int, g: GDag, cond: dict[int, bool]
 ) -> bool:
     """Search reduction sequences from g, whose canonical key is key, for
     a strictly smaller condition-failing graph (fewer nodes, or equal
@@ -297,10 +272,10 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     since the search answers each failure alone (``cond`` only memoises
     the condition).
     """
-    cond: dict[tuple, bool] = {}
+    cond: dict[int, bool] = {}
     total = 0
     holds = 0
-    failures: list[tuple[tuple, GDag]] = []
+    failures: list[tuple[int, GDag]] = []
     for i, (key, g) in enumerate(_enumerate_classes(n)):
         if progress and i and i % 2000 == 0:
             print(f"  examined {i} classes", file=sys.stderr)

@@ -22,13 +22,17 @@ class ModelError(ValueError):
     """Raised for malformed tables or graph/table mismatches."""
 
 
-def _check_names(variables: Iterable[tuple[str, int]]) -> None:
+def _check_vars(variables: Iterable[tuple[str, int]]) -> None:
+    """Variable ids are distinct strings, and every cardinality is at
+    least 1."""
     seen: set[str] = set()
-    for name, _ in variables:
+    for name, card in variables:
         if not isinstance(name, str):
             raise ModelError(f"variable id {name!r} is not a string")
         if name in seen:
             raise ModelError(f"duplicate variable {name!r}")
+        if card < 1:
+            raise ModelError(f"cardinality of {name!r} must be >= 1")
         seen.add(name)
 
 
@@ -44,7 +48,10 @@ def _check_probs(probs: Iterable) -> None:
 
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str) or type(s) is int:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ModelError(f"probability {s!r} has denominator 0") from None
     raise ModelError(f"expected rational string, got {s!r}")
 
 
@@ -68,12 +75,8 @@ class Distribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_names(self.variables)
-        size = 1
-        for name, card in self.variables:
-            if card < 1:
-                raise ModelError(f"cardinality of {name!r} must be >= 1")
-            size *= card
+        _check_vars(self.variables)
+        size = math.prod(c for _, c in self.variables)
         if len(self.probs) != size:
             raise ModelError(
                 f"expected {size} entries, got {len(self.probs)}"
@@ -154,7 +157,7 @@ class ConditionalDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_names(self.variables + self.given)
+        _check_vars(self.variables + self.given)
         inner = math.prod(c for _, c in self.variables)
         outer = math.prod(c for _, c in self.given)
         if len(self.probs) != inner * outer:

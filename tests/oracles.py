@@ -30,20 +30,25 @@ from gdag_lab.graph import GDag, GraphError, NodeKind, _bits
 from gdag_lab.models import ClassicalGmcModel, Distribution, Kernel
 
 
-def canonical_key_oracle(g: GDag) -> tuple:
+def canonical_key_oracle(g: GDag) -> int:
     """Kind-preserving canonical key by brute force: the minimum, over
     all n! node permutations, of the pair (kind vector, adjacency bits
-    read row-major)."""
+    read row-major), packed as ``(2 << n | k) << n*n | bits`` with k the
+    observed count and the bits most significant first."""
     n = len(g.names)
     kinds = tuple(0 if k is NodeKind.OBSERVED else 1 for k in g.kinds)
     adj = g.child_mask
-    return min(
+    kind_vector, bits = min(
         (
             tuple(kinds[p] for p in perm),
             tuple((adj[perm[i]] >> perm[j]) & 1 for i in range(n) for j in range(n)),
         )
         for perm in permutations(range(n))
     )
+    packed = 2 << n | kind_vector.count(0)
+    for b in bits:
+        packed = packed << 1 | b
+    return packed
 
 
 def labelled_scan_oracle(n: int) -> Iterator[tuple[list[int], list[int]]]:

@@ -5,6 +5,7 @@ float comparison is exact integer or rational arithmetic.
 """
 
 from fractions import Fraction
+from hashlib import sha256
 from random import Random
 
 import pytest
@@ -74,6 +75,14 @@ def test_census_table_and_survivors():
     # the n=5 survivors include the Bell scenario
     keys5 = {canonical_key(s) for s in reports[5].survivors}
     assert canonical_key(bell_gdag()) in keys5
+    # the survivors byte for byte: canonical forms, node names, edge order
+    digests = {
+        4: "305db36b59e33e62d038247d4159eeb96da73f73a67754469509e6f9eca1cbf3",
+        5: "8ade3b17fed0e2c63c60b08fa37482a42af23b1f207e49be0b9a91c975ef1600",
+    }
+    for n, digest in digests.items():
+        lines = "\n".join(g.to_json() for g in reports[n].survivors)
+        assert sha256(lines.encode()).hexdigest() == digest, f"survivors changed at n={n}"
 
 
 # -- 3: exhaustive d-separation triple agreement ------------------------

@@ -163,11 +163,18 @@ def _chain_point(cards, probs) -> str:
             "variables": [{"id": "A", "card": 2}, {"id": "B", "card": 2}],
             "given": [{"id": "Y", "card": True}], "probs": ["1", "0", "0", "0"],
         })),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2), ["1/0"] + ["0"] * 7)),
+        (["ineq", "instrumental"], TWO_VAR_FAMILY.replace('"1/4"', '"1/0"', 1)),
+        (["ineq", "instrumental"], json.dumps({
+            "variables": [{"id": "A", "card": 2}, {"id": "B", "card": 2}],
+            "given": [{"id": "Y", "card": 0}], "probs": [],
+        })),
     ],
     ids=[
         "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
         "check-dist-1-var", "list-id", "object-given-id", "float-card",
         "string-card", "bool-card", "bool-probs", "bool-given-card",
+        "zero-denominator", "instrumental-zero-denominator", "zero-given-card",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
@@ -177,7 +184,8 @@ def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
     dp.write_text(dist_text)
     argv = [str(gp) if a == "CHAIN" else a for a in command] + [str(dp)]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_duplicate_variable_exits_2(tmp_path, capsys):

@@ -89,6 +89,25 @@ def test_cone_json_round_trip():
         Cone.from_json("{}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": "1/0"}}]}',
+        '{"variables": ["A", "A"], "ineqs": [{"coeffs": {"A": "1/1"}}]}',
+    ],
+    ids=["zero-denominator", "repeated-variable"],
+)
+def test_cone_from_json_bad_input(text):
+    with pytest.raises(ConeError):
+        Cone.from_json(text)
+
+
+def test_cone_rejects_repeated_variables():
+    # with "A" twice, subset masks 1 and 2 would both mean {A}
+    with pytest.raises(ConeError, match="repeated cone variable"):
+        Cone(("A", "A"), ((1, 0, 0),))
+
+
 def test_cone_rows_keep_sign():
     # H(A) >= 0 and -H(A) >= 0 are different inequalities
     up = Cone(("A",), ((1,),))

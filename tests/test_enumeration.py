@@ -11,11 +11,11 @@ from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
 from gdag_lab.enumeration import (
     CensusReport,
     _class_codes,
+    _code_of_masks,
     _enumerate_classes,
     _graph_of_key,
     _holds,
-    _key_of_code,
-    _key_of_masks,
+    _masks_of_code,
     _reducible_to_smaller_failure,
     _scan_rank,
     _sink_extensions,
@@ -50,9 +50,17 @@ def _kind(bit: int) -> NodeKind:
 
 
 def test_canonical_key_small_pinned():
-    assert canonical_key(GDag([])) == ((), ())
-    assert canonical_key(GDag([("A", OBS)])) == ((0,), (0,))
-    assert canonical_key(GDag([("A", UNOBS)])) == ((1,), (0,))
+    """Keys carry the node count: graphs of different sizes never share
+    one, even with no observed node and no edge."""
+    assert canonical_key(GDag([])) == 2
+    assert canonical_key(GDag([("A", OBS)])) == 10
+    assert canonical_key(GDag([("A", UNOBS)])) == 8
+    assert canonical_key(GDag([("A", UNOBS), ("B", UNOBS)], [("A", "B")])) == 130
+    unlinked_latents = [
+        canonical_key(GDag([(name, UNOBS) for name in "ABCD"[:n]])) for n in range(5)
+    ]
+    assert unlinked_latents == [2, 8, 128, 8192, 2097152]
+    assert len(set(unlinked_latents)) == 5
 
 
 def _graph_of_masks(kinds: list[int], child_mask: list[int]) -> GDag:
@@ -70,12 +78,12 @@ def test_canonical_key_matches_oracle_on_labelled_scan(n):
     and kind vectors gets the brute-force key; sink extension finds
     exactly the scan's classes, each once; and ``_scan_rank`` sorts them
     into the scan's first-occurrence order."""
-    first_seen: dict[tuple, None] = {}
+    first_seen: dict[int, None] = {}
     for kinds, child_mask in labelled_scan_oracle(n):
         g = _graph_of_masks(kinds, child_mask)
         expected = canonical_key_oracle(g)
         assert canonical_key(g) == expected
-        assert _key_of_masks(kinds, child_mask) == expected
+        assert _code_of_masks(kinds, child_mask) == expected
         first_seen.setdefault(expected, None)
     classes = list(_enumerate_classes(n))
     assert len(classes) == len(first_seen)
@@ -94,14 +102,14 @@ def test_sink_extension_keys_match_oracle_at_n6():
         base = rng.choice(codes)
         kind, parents = rng.randrange(2), rng.randrange(1 << 5)
         kinds, child_mask = list(_sink_extensions(5, base))[kind << 5 | parents]
-        g5 = _graph_of_key(_key_of_code(5, base))
+        g5 = _graph_of_key(5, base)
         g = GDag(
             [*zip(g5.names, g5.kinds), ("F", _kind(kind))],
             [*g5.edges, *((g5.names[v], "F") for v in range(5) if (parents >> v) & 1)],
         )
         assert kinds == [0 if k is OBS else 1 for k in g.kinds]
         assert tuple(child_mask) == g.child_mask
-        assert _key_of_masks(kinds, child_mask) == canonical_key_oracle(g)
+        assert _code_of_masks(kinds, child_mask) == canonical_key_oracle(g)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -110,13 +118,13 @@ def test_census_survivors_in_scan_order(n, monkeypatch):
     first-occurrence order, that the survivor search keeps, whatever
     order the classes are enumerated in."""
     first_seen = dict.fromkeys(
-        _key_of_masks(kinds, child_mask)
+        _code_of_masks(kinds, child_mask)
         for kinds, child_mask in labelled_scan_oracle(n)
     )
-    cond: dict[tuple, bool] = {}
+    cond: dict[int, bool] = {}
     expected = []
     for key in first_seen:
-        g = _graph_of_key(key)
+        g = _graph_of_key(n, key)
         if not _holds(cond, key, g) and not _reducible_to_smaller_failure(key, g, cond):
             expected.append(g)
     assert classification_census(n).survivors == tuple(expected)
@@ -271,7 +279,7 @@ def test_census_n6():
     assert sha256(lines.encode()).hexdigest() == (
         "6aa007dee5143dafe6a20d959a1c3ea45ed6ab62fc7c9abf277b5041a465c1a9"
     )
-    latent = Counter(6 - (code >> 36) for code in _class_codes(6))
+    latent = Counter(_masks_of_code(6, key)[0].count(1) for key in _class_codes(6))
     assert [latent[u] for u in range(7)] == [
         5984, 34206, 83396, 110296, 83396, 34206, 5984
     ]
