@@ -57,10 +57,10 @@ def triangle_gpt_feasible(p: Distribution) -> bool:
     n_rows = ca * cb + cb * cc + ca * cc
     columns = []
     for av, bv, cv in product(range(ca), range(cb), range(cc)):
-        col = [Fraction(0)] * n_rows
-        col[row_index(0, av, bv)] = Fraction(1)
-        col[row_index(1, bv, cv)] = Fraction(1)
-        col[row_index(2, av, cv)] = Fraction(1)
+        col = [0] * n_rows
+        col[row_index(0, av, bv)] = 1
+        col[row_index(1, bv, cv)] = 1
+        col[row_index(2, av, cv)] = 1
         columns.append(col)
     target = [Fraction(0)] * n_rows
     for av, bv in product(range(ca), range(cb)):

@@ -46,6 +46,13 @@ def _check_probs(probs: Iterable) -> None:
             raise ModelError("negative probability")
 
 
+def _sums_to_one(probs: Sequence) -> bool:
+    """Whether the exact rationals ``probs`` sum to exactly 1: over d, the
+    least common denominator, their integer numerators sum to d."""
+    d = math.lcm(*{q.denominator for q in probs})
+    return sum([q.numerator * (d // q.denominator) for q in probs]) == d
+
+
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str) or type(s) is int:
         try:
@@ -67,6 +74,47 @@ def _parse_vars(entries) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+def _index(variables: Sequence[tuple[str, int]], values: Sequence[int]) -> int:
+    """The row-major index of ``values``, one value per variable."""
+    if len(values) != len(variables):
+        raise ModelError(f"expected {len(variables)} values, got {len(values)}")
+    idx = 0
+    for (name, card), v in zip(variables, values):
+        if not 0 <= v < card:
+            raise ModelError(f"value {v} out of range for {name!r}")
+        idx = idx * card + v
+    return idx
+
+
+def _numerators(p: Distribution, keep: Sequence[str]) -> tuple[list[int], int]:
+    """The marginal of ``p`` on ``keep``, row-major in that order, as
+    integer numerators over d, the least common denominator of p's
+    entries: (numerators, d).
+
+    Each variable of ``p`` gets its stride in the marginal's row-major
+    index, 0 if it is summed out, so the cell of every joint outcome is a
+    mixed-radix sum; one pass over the entries then adds each nonzero one
+    to its cell."""
+    card = dict(p.variables)
+    stride = dict.fromkeys(card, 0)
+    size = 1
+    for n in reversed(keep):
+        if n not in card:
+            raise ModelError(f"unknown variable {n!r}")
+        stride[n] = size
+        size *= card[n]
+    cells = [0]
+    for n, c in p.variables:
+        s = stride[n]
+        cells = [i + v * s for i in cells for v in range(c)]
+    d = math.lcm(*{q.denominator for q in p.probs})
+    out = [0] * size
+    for i, q in zip(cells, p.probs):
+        if q:
+            out[i] += q.numerator * (d // q.denominator)
+    return out, d
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Joint distribution over named finite variables, row-major order."""
@@ -82,7 +130,7 @@ class Distribution:
                 f"expected {size} entries, got {len(self.probs)}"
             )
         _check_probs(self.probs)
-        if sum(self.probs, Fraction(0)) != 1:
+        if not _sums_to_one(self.probs):
             raise ModelError("probabilities must sum to exactly 1")
 
     @property
@@ -99,32 +147,18 @@ class Distribution:
         return product(*(range(c) for _, c in self.variables))
 
     def prob(self, outcome: Sequence[int]) -> Fraction:
-        idx = 0
-        for (name, card), v in zip(self.variables, outcome):
-            if not 0 <= v < card:
-                raise ModelError(f"outcome {v} out of range for {name!r}")
-            idx = idx * card + v
-        return self.probs[idx]
+        return self.probs[_index(self.variables, outcome)]
 
     def marginal(self, names: Iterable[str]) -> "Distribution":
         keep = list(names)
-        pos = {n: i for i, (n, _) in enumerate(self.variables)}
-        for n in keep:
-            if n not in pos:
-                raise ModelError(f"unknown variable {n!r}")
-        kept_vars = tuple((n, self.card(n)) for n in keep)
-        table: dict[tuple[int, ...], Fraction] = {}
+        numerators, d = _numerators(self, keep)
         # Tuples are built from lists: the dead tuples of ``tuple(genexpr)``,
         # which over-allocates and resizes, pile up on CPython's per-size
         # free lists and raise the process's peak memory.
-        for outcome, p in zip(self.outcomes(), self.probs):
-            key = tuple([outcome[pos[n]] for n in keep])
-            table[key] = table.get(key, Fraction(0)) + p
-        probs = tuple([
-            table.get(o, Fraction(0))
-            for o in product(*(range(c) for _, c in kept_vars))
-        ])
-        return Distribution(kept_vars, probs)
+        return Distribution(
+            tuple([(n, self.card(n)) for n in keep]),
+            tuple([Fraction(x, d) for x in numerators]),
+        )
 
     def to_json(self) -> str:
         obj = {
@@ -164,16 +198,12 @@ class ConditionalDistribution:
             raise ModelError("wrong table size")
         _check_probs(self.probs)
         for k in range(outer):
-            s = sum(self.probs[k * inner:(k + 1) * inner], Fraction(0))
-            if s != 1:
-                raise ModelError(f"conditioning slice {k} sums to {s}, not 1")
+            row = self.probs[k * inner:(k + 1) * inner]
+            if not _sums_to_one(row):
+                raise ModelError(f"conditioning slice {k} sums to {sum(row)}, not 1")
 
     def slice(self, given_values: Sequence[int]) -> Distribution:
-        idx = 0
-        for (name, card), v in zip(self.given, given_values):
-            if not 0 <= v < card:
-                raise ModelError(f"value {v} out of range for {name!r}")
-            idx = idx * card + v
+        idx = _index(self.given, given_values)
         inner = math.prod(c for _, c in self.variables)
         return Distribution(
             self.variables, self.probs[idx * inner:(idx + 1) * inner]
@@ -229,7 +259,7 @@ class Kernel:
             if len(row) != width:
                 raise ModelError(f"kernel row {k} has wrong length")
             _check_probs(row)
-            if sum(row, Fraction(0)) != 1:
+            if not _sums_to_one(row):
                 raise ModelError(f"kernel row {k} does not sum to 1")
 
 
@@ -411,27 +441,44 @@ def observed_from_classical_gmc(model: ClassicalGmcModel) -> Distribution:
 
 
 def is_conditionally_independent(p: Distribution, x, y, z) -> bool:
-    """Exact test of P(x,y|z) = P(x|z) P(y|z)."""
+    """Exact test of P(x,y|z) = P(x|z) P(y|z).
+
+    One marginal gives the numerators n over one denominator d of P(x,y,z);
+    folding it gives those of P(x,z), P(y,z) and P(z).  The test is then
+    n_xyz n_z == n_xz n_yz in every cell: each side is d² times the
+    rational product, so d cancels."""
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     if x & y or x & z or y & z:
         raise ModelError("x, y, z must be pairwise disjoint")
-    names = list(p.names)
+    names = p.names
     for n in x | y | z:
         if n not in names:
             raise ModelError(f"unknown variable {n!r}")
     xs = [n for n in names if n in x]
     ys = [n for n in names if n in y]
     zs = [n for n in names if n in z]
-    pxyz = p.marginal(xs + ys + zs)
-    pz = p.marginal(zs)
-    pxz = p.marginal(xs + zs)
-    pyz = p.marginal(ys + zs)
-    for outcome in pxyz.outcomes():
-        xv = outcome[: len(xs)]
-        yv = outcome[len(xs): len(xs) + len(ys)]
-        zv = outcome[len(xs) + len(ys):]
-        if pxyz.prob(outcome) * pz.prob(zv) != pxz.prob(xv + zv) * pyz.prob(yv + zv):
-            return False
+    nxyz, _ = _numerators(p, xs + ys + zs)
+    card = dict(p.variables)
+    cx = math.prod([card[n] for n in xs])
+    cy = math.prod([card[n] for n in ys])
+    cz = math.prod([card[n] for n in zs])
+    nxz, nyz, nz = [0] * (cx * cz), [0] * (cy * cz), [0] * cz
+    i = 0
+    for a in range(cx):
+        for b in range(cy):
+            for c in range(cz):
+                n = nxyz[i]
+                nxz[a * cz + c] += n
+                nyz[b * cz + c] += n
+                nz[c] += n
+                i += 1
+    i = 0
+    for a in range(cx):
+        for b in range(cy):
+            for c in range(cz):
+                if nxyz[i] * nz[c] != nxz[a * cz + c] * nyz[b * cz + c]:
+                    return False
+                i += 1
     return True
 
 
@@ -459,12 +506,12 @@ def entropy(p: Distribution, s: Iterable[str]) -> float:
     unknown = s.difference(p.names)
     if unknown:
         raise ModelError(f"unknown variable {min(unknown)!r}")
-    names = [n for n in p.names if n in s]
-    m = p.marginal(names)
+    numerators, d = _numerators(p, [n for n in p.names if n in s])
     h = 0.0
-    for q in m.probs:
-        if q:
-            h -= float(q) * math.log2(float(q))
+    for x in numerators:
+        if x:
+            q = x / d  # rounds as float(Fraction(x, d)) does
+            h -= q * math.log2(q)
     return h
 
 

@@ -590,3 +590,40 @@ def observed_oracle(model: ClassicalGmcModel) -> Distribution:
             total += p
         probs.append(total)
     return Distribution(variables, tuple(probs))
+
+
+def marginal_oracle(p: Distribution, names: Sequence[str]) -> Distribution:
+    """``p`` marginalised onto ``names``, in that order, by adding one
+    ``Fraction`` per joint outcome into a dict keyed by the kept values.
+    The reference for ``Distribution.marginal``."""
+    keep = list(names)
+    pos = {n: i for i, (n, _) in enumerate(p.variables)}
+    kept_vars = tuple((n, p.card(n)) for n in keep)
+    table: dict[tuple[int, ...], Fraction] = {}
+    for outcome, q in zip(p.outcomes(), p.probs):
+        key = tuple(outcome[pos[n]] for n in keep)
+        table[key] = table.get(key, Fraction(0)) + q
+    probs = tuple(
+        table.get(o, Fraction(0)) for o in product(*(range(c) for _, c in kept_vars))
+    )
+    return Distribution(kept_vars, probs)
+
+
+def ci_oracle(p: Distribution, x, y, z) -> bool:
+    """P(x,y|z) = P(x|z) P(y|z), tested as P(x,y,z) P(z) = P(x,z) P(y,z)
+    on the ``Fraction`` marginals of ``marginal_oracle``.  The reference
+    for ``models.is_conditionally_independent``."""
+    xs = [n for n in p.names if n in x]
+    ys = [n for n in p.names if n in y]
+    zs = [n for n in p.names if n in z]
+    pxyz = marginal_oracle(p, xs + ys + zs)
+    pz = marginal_oracle(p, zs)
+    pxz = marginal_oracle(p, xs + zs)
+    pyz = marginal_oracle(p, ys + zs)
+    for outcome in pxyz.outcomes():
+        xv = outcome[: len(xs)]
+        yv = outcome[len(xs): len(xs) + len(ys)]
+        zv = outcome[len(xs) + len(ys):]
+        if pxyz.prob(outcome) * pz.prob(zv) != pxz.prob(xv + zv) * pyz.prob(yv + zv):
+            return False
+    return True

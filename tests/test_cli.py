@@ -88,6 +88,32 @@ def test_check_dist_pass_and_fail(tmp_path, capsys):
     assert out["violated"]
 
 
+GHZ = Distribution((("A", 2), ("B", 2), ("C", 2)), (H, 0, 0, 0, 0, 0, 0, H))
+
+
+def test_check_dist_triangle_verdict_only_on_triangle(tmp_path, capsys):
+    """The complete DAG on three observed nodes realises every
+    distribution, GHZ included: no triangle verdict applies to it."""
+    complete = GDag(
+        [("A", NodeKind.OBSERVED), ("B", NodeKind.OBSERVED), ("C", NodeKind.OBSERVED)],
+        [("A", "B"), ("B", "C"), ("A", "C")],
+    )
+    gp = tmp_path / "complete.json"
+    gp.write_text(complete.to_json())
+    assert run(["check-dist", str(gp), _dist_path(tmp_path, GHZ)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"satisfies_I": True, "violated": []}
+
+
+def test_check_dist_triangle_ghz(tmp_path, capsys):
+    gp = tmp_path / "triangle.json"
+    gp.write_text(triangle_gdag().to_json())
+    assert run(["check-dist", str(gp), _dist_path(tmp_path, GHZ)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["satisfies_I"] is True
+    assert out["triangle_monogamy_margin"] == pytest.approx(1.0)
+    assert out["triangle_gpt_feasible"] is False
+
+
 def test_check_dist_conditional(tmp_path, capsys, bell_path):
     rows = []
     for y in range(2):
@@ -103,10 +129,7 @@ def test_check_dist_conditional(tmp_path, capsys, bell_path):
 
 
 def test_ineq_triangle(tmp_path, capsys):
-    ghz = Distribution(
-        (("A", 2), ("B", 2), ("C", 2)), (H, 0, 0, 0, 0, 0, 0, H)
-    )
-    assert run(["ineq", "triangle", _dist_path(tmp_path, ghz)]) == 1
+    assert run(["ineq", "triangle", _dist_path(tmp_path, GHZ)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["monogamy_margin"] == pytest.approx(1.0)
     assert out["gpt_feasible"] is False

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gdag_lab.catalog import bell_gdag, chain, collider, one_sided_bell_gdag
 from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.models import (
+    _numerators,
     ClassicalGmcModel,
     ConditionalDistribution,
     Distribution,
@@ -31,7 +32,7 @@ from generators import (
     random_prob_row,
     random_triangle_distribution,
 )
-from oracles import observed_oracle
+from oracles import ci_oracle, marginal_oracle, observed_oracle
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -76,6 +77,17 @@ def test_marginal_and_prob():
     assert p.marginal(["B", "A"]).prob((1, 0)) == Q
 
 
+def test_prob_and_slice_reject_wrong_length():
+    """A short or long outcome is an error, not a silent truncation."""
+    p = Distribution((("A", 2), ("B", 2)), (H, Q, Q, Fraction(0)))
+    c = ConditionalDistribution((("A", 2),), (("Y", 2), ("Z", 2)), (H, H) * 4)
+    for bad in [(1,), (0, 1, 0)]:
+        with pytest.raises(ModelError, match="expected 2 values"):
+            p.prob(bad)
+        with pytest.raises(ModelError, match="expected 2 values"):
+            c.slice(bad)
+
+
 def test_distribution_json_round_trip():
     p = Distribution((("A", 2), ("B", 3)), (H, Q, Q, 0, 0, 0))
     assert Distribution.from_json(p.to_json()) == p
@@ -91,6 +103,37 @@ def test_conditional_distribution():
     assert ConditionalDistribution.from_json(c.to_json()) == c
     with pytest.raises(ModelError):
         ConditionalDistribution((("A", 2),), (("Y", 2),), (H, H, H, Q))
+
+
+# (row, ok): ``ok`` is whether the row sums to exactly 1.  Each row that
+# does not misses 1 by 1/d², d the least common denominator of the row
+# it was made from; most mix denominators.
+SUM_CASES = {
+    "exact-mixed": ((H, Fraction(1, 3), Fraction(1, 6)), True),
+    "int-and-fraction": ((1, 0, Fraction(0)), True),
+    "over-by-1/d2": ((H, Fraction(1, 3), Fraction(1, 6) + Fraction(1, 36)), False),
+    "under-by-1/d2": ((H, Fraction(1, 3), Fraction(1, 6) - Fraction(1, 36)), False),
+    "large-d": ((Fraction(1, 3 ** 40), Fraction(3 ** 40 - 1, 3 ** 40), Fraction(1, 9 ** 40)), False),
+    "mixed-over": ((Fraction(1, 7), Fraction(4, 5), Fraction(2, 35) + Fraction(1, 35 ** 2)), False),
+}
+
+
+@pytest.mark.parametrize("case", SUM_CASES)
+def test_sum_check_exact(case):
+    """Every constructor accepts a table that sums to exactly 1 and
+    rejects one that misses it by 1/d²."""
+    row, ok = SUM_CASES[case]
+    tables = [
+        lambda: Distribution((("A", 3),), row),
+        lambda: ConditionalDistribution((("A", 3),), (("Y", 2),), (H, H, 0) + row),
+        lambda: Kernel("A", 3, (("Y", 2),), (), (), {(0,): row, (1,): (1, 0, 0)}),
+    ]
+    for make in tables:
+        if ok:
+            make()
+        else:
+            with pytest.raises(ModelError, match="sum"):
+                make()
 
 
 def test_kernel_validation():
@@ -204,6 +247,102 @@ def test_is_conditionally_independent():
         is_conditionally_independent(p, {"A"}, {"A"}, set())
     with pytest.raises(ModelError):
         is_conditionally_independent(p, {"A"}, {"C"}, set())
+
+
+def _rows(rng, count, k):
+    """``count`` random probability rows of length k, each over its own
+    denominator, so entries have mixed denominators and some are 0."""
+    return [random_prob_row(rng, k, rng.choice([2, 3, 4, 5, 6, 12])) for _ in range(count)]
+
+
+def _index(values, cards):
+    i = 0
+    for v, c in zip(values, cards):
+        i = i * c + v
+    return i
+
+
+def random_ci_case(rng, kind):
+    """(p, x, y, z) on 1-5 variables of cardinality 1-3, x, y and z
+    disjoint, x and y each holding one of the first two variables.
+
+    p is a random table for ``kind`` "random"; for "product" it is
+    P(z) P(x|z) P(y|z) P(w|x,y,z), so x is independent of y given z; for
+    "perturbed" it is such a product with part of one nonzero entry moved
+    to another entry.  Entries equal to 0 or 1 are ints."""
+    n = rng.randint(1, 5)
+    names = rng.sample("ABCDE", n)
+    cards = [rng.randint(1, 3) for _ in names]
+    part = [0, 1, *(rng.randrange(4) for _ in names[2:])][:n]  # x, y, z or the rest
+    x, y, z = (frozenset(v for v, q in zip(names, part) if q == k) for k in range(3))
+    size = math.prod(cards)
+    if kind == "random":
+        probs = list(_rows(rng, 1, size)[0])
+    else:
+        pc = [[c for c, q in zip(cards, part) if q == k] for k in range(4)]
+        cx, cy, cz, cw = (math.prod(c) for c in pc)
+        pz = _rows(rng, 1, cz)[0]
+        px, py = _rows(rng, cz, cx), _rows(rng, cz, cy)
+        pw = _rows(rng, cx * cy * cz, cw)
+        probs = []
+        for outcome in product(*(range(c) for c in cards)):
+            xi, yi, zi, wi = (
+                _index([v for v, q in zip(outcome, part) if q == k], pc[k])
+                for k in range(4)
+            )
+            probs.append(pz[zi] * px[zi][xi] * py[zi][yi] * pw[(xi * cy + yi) * cz + zi][wi])
+        if kind == "perturbed" and size > 1:
+            i = rng.choice([k for k in range(size) if probs[k]])
+            j = rng.choice([k for k in range(size) if k != i])
+            moved = probs[i] / rng.choice([2, 3, 5])
+            probs[i] -= moved
+            probs[j] += moved
+    probs = [int(q) if q.denominator == 1 else q for q in probs]
+    return Distribution(tuple(zip(names, cards)), tuple(probs)), x, y, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["random", "product", "perturbed"]))
+def test_ci_and_marginal_match_fraction_oracle(seed, kind):
+    rng = Random(seed)
+    p, x, y, z = random_ci_case(rng, kind)
+    verdict = is_conditionally_independent(p, x, y, z)
+    assert verdict == ci_oracle(p, x, y, z)
+    if kind == "product":
+        assert verdict
+    keep = rng.sample(p.names, rng.randint(0, len(p.names)))
+    assert p.marginal(keep).to_json() == marginal_oracle(p, keep).to_json()
+
+
+def test_perturbed_products_break_ci():
+    """The perturbed products of ``random_ci_case`` reach both verdicts,
+    so the oracle comparison sees broken independences too."""
+    rng = Random(13)
+    verdicts = [
+        is_conditionally_independent(*random_ci_case(rng, "perturbed")) for _ in range(200)
+    ]
+    assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40
+
+
+class _CountingZero(Fraction):
+    """A zero entry that counts reads of its numerator."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        _CountingZero.reads += 1
+        return super().numerator
+
+
+def test_marginal_kernel_skips_zero_entries():
+    """The marginal pass never scales a zero entry: a sparse table costs
+    its nonzero entries only."""
+    zero = _CountingZero(0)
+    p = Distribution((("A", 2), ("B", 3)), (H, zero, zero, zero, zero, H))
+    _CountingZero.reads = 0
+    assert _numerators(p, ["B"]) == ([1, 0, 1], 2)
+    assert _CountingZero.reads == 0
 
 
 def test_satisfies_I_reports_violation():
