@@ -162,7 +162,7 @@ class Certificate:
             for t in self.steps
         ]
         obj = {"steps": steps, "final": json.loads(self.final.to_json())}
-        return json.dumps(obj, separators=(", ", ": "))
+        return json.dumps(obj)
 
 
 # -- the certificate search over orderings and root assignments ---------

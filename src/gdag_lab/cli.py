@@ -31,7 +31,7 @@ from .inequalities import (
     triangle_monogamy_margin,
 )
 from .classify import reduce as reduce_gdag, sufficient_condition_holds
-from .catalog import triangle_gdag
+from .catalog import instrumental_gdag, triangle_gdag
 from .enumeration import CENSUS_MAX_N, classification_census, isomorphic
 from .cones import (
     ConeError,
@@ -92,17 +92,9 @@ def _cmd_dsep(args) -> int:
             print("false")
         else:
             print("true")
-            print(
-                json.dumps(
-                    {
-                        "u": sorted(w.u),
-                        "v": sorted(w.v),
-                        "z": sorted(w.z),
-                        "w": sorted(w.w),
-                    },
-                    separators=(", ", ": "),
-                )
-            )
+            print(json.dumps({
+                "u": sorted(w.u), "v": sorted(w.v), "z": sorted(w.z), "w": sorted(w.w)
+            }))
     else:
         print("true" if d_separated(g, st.x, st.y, st.z) else "false")
     return 0
@@ -136,13 +128,19 @@ def _cmd_check_dist(args) -> int:
     out: dict = {}
     code = 0
     if isinstance(dist, ConditionalDistribution):
-        if len(dist.given) == 1:
-            v, violated = _instrumental_verdict(dist)
-            out["instrumental_value"] = str(v)
-            if violated:
-                code = 1
-        else:
+        # The instrumental verdict holds only for the instrumental graph,
+        # and a family is checked against nothing else.
+        if not (len(g.names) == 4 and isomorphic(g, instrumental_gdag())):
+            raise CliError(
+                "conditional distributions are checked only against the "
+                "instrumental graph"
+            )
+        if len(dist.given) != 1:
             raise CliError("conditional distributions need exactly one given")
+        v, violated = _instrumental_verdict(dist)
+        out["instrumental_value"] = str(v)
+        if violated:
+            code = 1
     else:
         report = satisfies_I(g, dist)
         out["satisfies_I"] = report.holds
@@ -161,7 +159,7 @@ def _cmd_check_dist(args) -> int:
             out["triangle_gpt_feasible"] = feas
             if violated:
                 code = 1
-    print(json.dumps(out, separators=(", ", ": ")))
+    print(json.dumps(out))
     return code
 
 
@@ -171,12 +169,7 @@ def _cmd_ineq(args) -> int:
         if not isinstance(dist, Distribution):
             raise CliError("triangle inequalities need a joint distribution")
         margin, feas, violated = _triangle_verdict(dist)
-        print(
-            json.dumps(
-                {"monogamy_margin": margin, "gpt_feasible": feas},
-                separators=(", ", ": "),
-            )
-        )
+        print(json.dumps({"monogamy_margin": margin, "gpt_feasible": feas}))
         return 1 if violated else 0
     if not isinstance(dist, ConditionalDistribution) or len(dist.given) != 1:
         raise CliError(
@@ -184,7 +177,7 @@ def _cmd_ineq(args) -> int:
             "with one given variable"
         )
     v, violated = _instrumental_verdict(dist)
-    print(json.dumps({"value": str(v)}, separators=(", ", ": ")))
+    print(json.dumps({"value": str(v)}))
     return 1 if violated else 0
 
 
@@ -236,7 +229,7 @@ def _cmd_entropic(args) -> int:
             if not implied_by(ineq, ei)
         ]
         out["not_implied_by_independence"] = extra
-    print(json.dumps(out, separators=(", ", ": ")))
+    print(json.dumps(out))
     return 0
 
 

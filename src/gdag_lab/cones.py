@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import GDag, NodeKind, _bits
+from .graph import GDag, _bits
 from .dsep import observable_ci_set
 from .linprog import nonneg_combination
 
@@ -53,6 +53,17 @@ def _normalize(row: Sequence[int | Fraction]) -> Optional[tuple[int, ...]]:
     if g == 0:
         return None
     return tuple(c // g for c in ints)
+
+
+def _mask(index: dict[str, int], names: Iterable[str]) -> int:
+    """The subset mask of ``names``, where ``index`` gives each known
+    name its bit."""
+    mask = 0
+    for v in names:
+        if v not in index:
+            raise ConeError(f"unknown variable {v!r}")
+        mask |= 1 << index[v]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -112,15 +123,9 @@ class Cone:
     def row_of(self, ineq: LinIneq) -> tuple[int, ...]:
         """ineq expressed in this cone's coordinates."""
         index = {v: i for i, v in enumerate(self.variables)}
-        size = (1 << len(self.variables)) - 1
-        row = [Fraction(0)] * size
+        row = [Fraction(0)] * ((1 << len(self.variables)) - 1)
         for s, c in ineq.coeffs.items():
-            if not s <= set(self.variables):
-                raise ConeError(f"subset {sorted(s)} outside cone variables")
-            mask = 0
-            for v in s:
-                mask |= 1 << index[v]
-            row[mask - 1] = c
+            row[_mask(index, s) - 1] = c
         norm = _normalize(row)
         if norm is None:
             raise ConeError("zero inequality")
@@ -135,35 +140,25 @@ class Cone:
                 if c
             }
             ineqs.append({"coeffs": coeffs})
-        return json.dumps(
-            {"variables": list(self.variables), "ineqs": ineqs},
-            separators=(", ", ": "),
-        )
+        return json.dumps({"variables": list(self.variables), "ineqs": ineqs})
 
     @staticmethod
     def from_json(text: str) -> "Cone":
         try:
             obj = json.loads(text)
-            variables = tuple(obj["variables"])
-            index = {v: i for i, v in enumerate(variables)}
-            size = (1 << len(variables)) - 1
-            rows = []
-            for item in obj["ineqs"]:
-                row = [Fraction(0)] * size
-                for key, val in item["coeffs"].items():
-                    mask = 0
-                    for v in key.split(","):
-                        mask |= 1 << index[v]
-                    row[mask - 1] = Fraction(val)
-                norm = _normalize(row)
-                if norm is None:
-                    raise ConeError("zero inequality row")
-                rows.append(norm)
+            cone = Cone(tuple(obj["variables"]), ())
+            rows = tuple(
+                cone.row_of(LinIneq({
+                    frozenset(key.split(",")): Fraction(val)
+                    for key, val in item["coeffs"].items()
+                }))
+                for item in obj["ineqs"]
+            )
         except (
             json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError
         ) as e:
             raise ConeError(f"bad cone JSON: {e}") from None
-        return Cone(variables, tuple(rows))
+        return Cone(cone.variables, rows)
 
 
 def _dedupe(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -226,26 +221,24 @@ def _cmi_row(
     return tuple(r)
 
 
-def markov_constraint_rows(g: GDag) -> list[LinIneq]:
-    """-I(X ; ND(X) | Pa(X)) >= 0 for each node with nondescendants."""
-    n = len(g.names)
-    size = (1 << n) - 1
-    out = []
-    for i in range(n):
+def _markov_rows(g: GDag) -> list[tuple[int, ...]]:
+    """-I(X ; ND(X) | Pa(X)) >= 0 for each node with nondescendants, as
+    rows over g's subsets.  Each has entries 0 or +-1 on four distinct
+    masks, so gcd 1 already."""
+    size = g.all_mask  # one coordinate per nonempty subset
+    rows = []
+    for i in range(len(g.names)):
         x = 1 << i
         pa = g.parent_mask[i]
         nd = g.all_mask & ~g.desc_mask[i] & ~x & ~pa
-        if not nd:
-            continue
-        row = _cmi_row(size, x, nd, pa, -1)
-        coeffs = {
-            g.names_of(m): Fraction(c)
-            for m, c in enumerate(row, start=1)
-            if c
-        }
-        if coeffs:
-            out.append(LinIneq(coeffs))
-    return out
+        if nd:
+            rows.append(_cmi_row(size, x, nd, pa, -1))
+    return rows
+
+
+def markov_constraint_rows(g: GDag) -> list[LinIneq]:
+    """-I(X ; ND(X) | Pa(X)) >= 0 for each node with nondescendants."""
+    return list(Cone(g.names, tuple(_markov_rows(g))).ineqs())
 
 
 def _active_coords(
@@ -374,41 +367,31 @@ def _eliminate_coord(
 
 def fourier_motzkin_eliminate(c: Cone, coord: Iterable[str]) -> Cone:
     """Project out one entropy coordinate, then remove redundant rows."""
-    index = {v: i for i, v in enumerate(c.variables)}
-    mask = 0
-    for v in coord:
-        if v not in index:
-            raise ConeError(f"unknown coordinate variable {v!r}")
-        mask |= 1 << index[v]
+    mask = _mask({v: i for i, v in enumerate(c.variables)}, coord)
     if mask == 0:
         raise ConeError("empty coordinate")
     rows = _eliminate_coord(list(c.rows), mask - 1)
     return Cone(c.variables, tuple(_minimize(rows)))
 
 
-def _restrict(c: Cone, variables: Sequence[str]) -> Cone:
-    """Re-coordinate a cone whose rows only mention subsets of
-    ``variables`` onto that smaller universe."""
-    old_index = {v: i for i, v in enumerate(c.variables)}
-    new_index = {v: i for i, v in enumerate(variables)}
-    size = (1 << len(variables)) - 1
-    keep_mask = 0
-    for v in variables:
-        keep_mask |= 1 << old_index[v]
-    rows = []
-    for r in c.rows:
+def _restrict(
+    rows: Iterable[tuple[int, ...]], keep: int
+) -> list[tuple[int, ...]]:
+    """Re-coordinate rows that only mention subsets of the bits of
+    ``keep`` onto the subsets of those bits, renumbered in order."""
+    bits = list(_bits(keep))
+    size = (1 << len(bits)) - 1
+    out = []
+    for r in rows:
         new = [0] * size
         for m, coef in enumerate(r, start=1):
             if not coef:
                 continue
-            if m & ~keep_mask:
+            if m & ~keep:
                 raise ConeError("row mentions an eliminated coordinate")
-            nm = 0
-            for i in _bits(m):
-                nm |= 1 << new_index[c.variables[i]]
-            new[nm - 1] = coef
-        rows.append(tuple(new))
-    return Cone(tuple(variables), tuple(_dedupe(rows)))
+            new[sum(1 << j for j, i in enumerate(bits) if m >> i & 1) - 1] = coef
+        out.append(tuple(new))
+    return _dedupe(out)
 
 
 def _check_size(g: GDag, allow_large: bool) -> None:
@@ -427,16 +410,10 @@ def derive_classical_cone(
     _check_size(g, allow_large)
     cone = elemental_inequalities(g.names)
     # the elemental set is already irredundant; skip the initial pass
-    rows = _dedupe(
-        list(cone.rows) + [cone.row_of(i) for i in markov_constraint_rows(g)]
-    )
+    rows = _dedupe(list(cone.rows) + _markov_rows(g))
 
-    unobs_mask = 0
-    index = {v: i for i, v in enumerate(g.names)}
-    for v in g.unobserved_nodes():
-        unobs_mask |= 1 << index[v]
-    size = (1 << len(g.names)) - 1
-    latent_coords = [m for m in range(1, size + 1) if m & unobs_mask]
+    unobs_mask = g.all_mask & ~g.observed_mask
+    latent_coords = [m for m in range(1, g.all_mask + 1) if m & unobs_mask]
     latent_coords.sort(key=lambda m: (bin(m).count("1"), m))
     # rows already proved irredundant; the first step's input never was
     kept: frozenset[tuple[int, ...]] = frozenset()
@@ -452,10 +429,10 @@ def derive_classical_cone(
                 f"{len(rows)} rows",
                 file=sys.stderr,
             )
-    projected = _restrict(Cone(g.names, tuple(rows)), g.observed_nodes())
+    projected = _restrict(rows, g.observed_mask)
     # restriction renames coordinates only, so kept rows stay irredundant
-    kept = frozenset(projected.rows) if latent_coords else frozenset()
-    return Cone(projected.variables, tuple(_minimize(list(projected.rows), kept)))
+    kept = frozenset(projected) if latent_coords else frozenset()
+    return Cone(g.observed_nodes(), tuple(_minimize(projected, kept)))
 
 
 def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
@@ -468,19 +445,12 @@ def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
     cone = elemental_inequalities(obs)
     index = {v: i for i, v in enumerate(obs)}
     size = (1 << len(obs)) - 1
-
-    def mask_of(names: Iterable[str]) -> int:
-        m = 0
-        for v in names:
-            m |= 1 << index[v]
-        return m
-
+    # x and y are nonempty and disjoint from each other and from z: entries
+    # 0 or +-1 on four distinct masks, so each row has gcd 1 already
     rows = list(cone.rows)
     for st in observable_ci_set(g):
-        row = _cmi_row(size, mask_of(st.x), mask_of(st.y), mask_of(st.z), -1)
-        norm = _normalize(row)
-        if norm is not None:
-            rows.append(norm)
+        x, y, z = (_mask(index, s) for s in (st.x, st.y, st.z))
+        rows.append(_cmi_row(size, x, y, z, -1))
     return Cone(tuple(obs), tuple(_minimize(rows)))
 
 

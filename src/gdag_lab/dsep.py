@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import GDag, GraphError, _bits
+from .graph import GDag, GraphError, _bits, _ready_order
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class CISet:
             {"x": sorted(s.x), "y": sorted(s.y), "z": sorted(s.z)}
             for s in self
         ]
-        return json.dumps(rows, separators=(", ", ": "))
+        return json.dumps(rows)
 
 
 @dataclass(frozen=True)
@@ -211,11 +211,8 @@ def _markov_holds(g: GDag, par: dict[int, int]) -> bool:
     the DAG, for any topological order (Verma & Pearl 1988; Lauritzen,
     Dawid, Larsen & Leimer 1990), so one test per node decides it.
     """
-    todo = sum(1 << i for i in par)
     done = 0
-    while todo:
-        i = next(i for i in _bits(todo) if not par[i] & todo)
-        todo ^= 1 << i
+    for i in _ready_order(par, sum(1 << i for i in par)):
         rest = done & ~par[i]
         if rest and not _dsep_mask(g, 1 << i, rest, par[i]):
             return False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -28,6 +28,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _ready_order(
+    parent_mask: Mapping[int, int] | Sequence[int], todo: int
+) -> Iterator[int]:
+    """The nodes of the mask ``todo`` in topological order, lowest ready
+    index first: a node is ready once none of its parents
+    (``parent_mask[i]``) is left in todo."""
+    while todo:
+        for i in _bits(todo):
+            if not parent_mask[i] & todo:
+                break
+        else:
+            raise GraphError("cycle detected")
+        todo ^= 1 << i
+        yield i
 
 
 class GDag:
@@ -94,7 +110,8 @@ class GDag:
         self.parent_mask = tuple(parent_mask)
         self.child_mask = tuple(child_mask)
 
-        self._topo = self._toposort()
+        # built from a list, as above
+        self._topo = tuple(list(_ready_order(self.parent_mask, self.all_mask)))
 
         anc = [0] * n
         for i in self._topo:
@@ -111,24 +128,6 @@ class GDag:
             desc[i] = m
         self.desc_mask = tuple(desc)
         self._hash = hash((self.nodes, frozenset(self.edges)))
-
-    def _toposort(self) -> tuple[int, ...]:
-        n = len(self.names)
-        indeg = [bin(self.parent_mask[i]).count("1") for i in range(n)]
-        order: list[int] = []
-        ready = [i for i in range(n) if indeg[i] == 0]
-        while ready:
-            # lowest declaration index first
-            i = min(ready)
-            ready.remove(i)
-            order.append(i)
-            for c in _bits(self.child_mask[i]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(order) != n:
-            raise GraphError("cycle detected")
-        return tuple(order)
 
     # -- identity ------------------------------------------------------
 
@@ -225,7 +224,7 @@ class GDag:
             "nodes": [{"id": n, "kind": k.value} for n, k in self.nodes],
             "edges": [[a, b] for a, b in self.edges],
         }
-        return json.dumps(obj, separators=(", ", ": "))
+        return json.dumps(obj)
 
 
 def parse_gdag(text: str) -> GDag:

@@ -39,36 +39,25 @@ def triangle_gpt_feasible(p: Distribution) -> bool:
     """
     a, b, c = _three_vars(p)
     ca, cb, cc = (p.card(n) for n in (a, b, c))
-    pab = p.marginal([a, b])
-    pbc = p.marginal([b, c])
-    pa = p.marginal([a])
-    pc = p.marginal([c])
-
+    pa = p.marginal([a]).probs
+    pc = p.marginal([c]).probs
     # Nonnegative q with three families of marginal equalities; feasibility
     # is q >= 0 with A q = b, i.e. b is a nonnegative combination of A's
-    # columns.  Equality row order: (a,b) block, (b,c) block, (a,c) block.
-    def row_index(kind: int, i: int, j: int) -> int:
-        if kind == 0:
-            return i * cb + j
-        if kind == 1:
-            return ca * cb + i * cc + j
-        return ca * cb + cb * cc + i * cc + j
-
-    n_rows = ca * cb + cb * cc + ca * cc
+    # columns.  Rows are the row-major (a,b), (b,c) and (a,c) tables, in
+    # that order, so q(a,b,c) has a 1 in one row of each block.
+    target = [
+        *p.marginal([a, b]).probs,
+        *p.marginal([b, c]).probs,
+        *(x * y for x in pa for y in pc),
+    ]
+    at_bc = ca * cb  # where the (b,c) and (a,c) blocks start
+    at_ac = at_bc + cb * cc
     columns = []
     for av, bv, cv in product(range(ca), range(cb), range(cc)):
-        col = [0] * n_rows
-        col[row_index(0, av, bv)] = 1
-        col[row_index(1, bv, cv)] = 1
-        col[row_index(2, av, cv)] = 1
+        col = [0] * len(target)
+        for k in (av * cb + bv, at_bc + bv * cc + cv, at_ac + av * cc + cv):
+            col[k] = 1
         columns.append(col)
-    target = [Fraction(0)] * n_rows
-    for av, bv in product(range(ca), range(cb)):
-        target[row_index(0, av, bv)] = pab.prob((av, bv))
-    for bv, cv in product(range(cb), range(cc)):
-        target[row_index(1, bv, cv)] = pbc.prob((bv, cv))
-    for av, cv in product(range(ca), range(cc)):
-        target[row_index(2, av, cv)] = pa.prob((av,)) * pc.prob((cv,))
     return nonneg_combination(target, columns) is not None
 
 

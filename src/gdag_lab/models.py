@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .graph import GDag
@@ -165,7 +166,7 @@ class Distribution:
             "variables": [{"id": n, "card": c} for n, c in self.variables],
             "probs": [str(p) for p in self.probs],
         }
-        return json.dumps(obj, separators=(", ", ": "))
+        return json.dumps(obj)
 
     @staticmethod
     def from_json(text: str) -> "Distribution":
@@ -215,7 +216,7 @@ class ConditionalDistribution:
             "given": [{"id": n, "card": c} for n, c in self.given],
             "probs": [str(p) for p in self.probs],
         }
-        return json.dumps(obj, separators=(", ", ": "))
+        return json.dumps(obj)
 
     @staticmethod
     def from_json(text: str) -> "ConditionalDistribution":
@@ -350,6 +351,20 @@ def _kernel_factor(model: ClassicalGmcModel, name: str) -> tuple[tuple, dict, in
     return scope, table, lcm
 
 
+#: The zero cell of every evaluated table, built once: with deterministic
+#: kernels most cells are 0.
+_ZERO = Fraction(0)
+
+
+def _getter(pos: Sequence[int]):
+    """The function from a tuple to the tuple of its entries at ``pos``;
+    ``itemgetter`` alone returns a bare entry for one position and takes
+    no empty list."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
+
+
 def _multiply(f: _Factor, g: _Factor) -> _Factor:
     """The product of two integer factors, over f's scope then the rest
     of g's."""
@@ -358,28 +373,27 @@ def _multiply(f: _Factor, g: _Factor) -> _Factor:
     f_pos = {v: i for i, v in enumerate(f_scope)}
     shared = [i for i, v in enumerate(g_scope) if v in f_pos]
     rest = [i for i, v in enumerate(g_scope) if v not in f_pos]
+    g_shared, g_rest = _getter(shared), _getter(rest)
     by_shared: dict[tuple, list] = {}
-    # Tuples from lists, as in ``Distribution.marginal``.
     for b, y in g_table.items():
-        by_shared.setdefault(tuple([b[i] for i in shared]), []).append(
-            (tuple([b[i] for i in rest]), y)
-        )
-    f_shared = [f_pos[g_scope[i]] for i in shared]
+        by_shared.setdefault(g_shared(b), []).append((g_rest(b), y))
+    f_shared = _getter([f_pos[g_scope[i]] for i in shared])
     table = {}
     for a, x in f_table.items():
-        for b, y in by_shared.get(tuple([a[i] for i in f_shared]), ()):
+        for b, y in by_shared.get(f_shared(a), ()):
             table[a + b] = x * y
     return f_scope + tuple(g_scope[i] for i in rest), table
 
 
-def _sum_out(f: _Factor, v) -> _Factor:
+def _project(f: _Factor, keep: Sequence) -> _Factor:
+    """f summed onto the variables ``keep``, in that order."""
     scope, table = f
-    i = scope.index(v)
+    pick = _getter([scope.index(v) for v in keep])
     out: dict[tuple, int] = {}
     for a, x in table.items():
-        key = a[:i] + a[i + 1:]
+        key = pick(a)
         out[key] = out.get(key, 0) + x
-    return scope[:i] + scope[i + 1:], out
+    return tuple(keep), out
 
 
 def _joined_size(factors: list[_Factor], v, card: Mapping) -> int:
@@ -420,20 +434,18 @@ def observed_from_classical_gmc(model: ClassicalGmcModel) -> Distribution:
         joined = using[0]
         for f in using[1:]:
             joined = _multiply(joined, f)
-        factors.append(_sum_out(joined, e))
+        factors.append(_project(joined, [v for v in joined[0] if v != e]))
 
     joint: _Factor = ((), {(): 1})
     for f in factors:
         joint = _multiply(joint, f)
-    pos = [joint[0].index(n) for n in obs]
-    numerators = [0] * math.prod(c for _, c in variables)
-    for a, x in joint[1].items():
-        idx = 0
-        for n, i in zip(obs, pos):
-            idx = idx * card[n] + a[i]
-        numerators[idx] = x
+    table = _project(joint, obs)[1]
     return Distribution(
-        variables, tuple([Fraction(x, denominator) for x in numerators])
+        variables,
+        tuple([
+            Fraction(table[a], denominator) if a in table else _ZERO
+            for a in product(*(range(c) for _, c in variables))
+        ]),
     )
 
 

@@ -114,18 +114,32 @@ def test_check_dist_triangle_ghz(tmp_path, capsys):
     assert out["triangle_gpt_feasible"] is False
 
 
-def test_check_dist_conditional(tmp_path, capsys, bell_path):
+def _instrumental_violation(tmp_path) -> str:
+    """A family P(a,b|y) with instrumental value 2."""
     rows = []
     for y in range(2):
         for a in range(2):
             for b in range(2):
                 rows.append(F(1) if (b == 0 and a == y) else F(0))
     fam = ConditionalDistribution((("A", 2), ("B", 2)), (("Y", 2),), tuple(rows))
-    p = tmp_path / "fam.json"
-    p.write_text(fam.to_json())
-    assert run(["check-dist", bell_path, str(p)]) == 1
+    return _dist_path(tmp_path, fam, "fam.json")
+
+
+def test_check_dist_conditional(tmp_path, capsys):
+    gp = tmp_path / "instrumental.json"
+    gp.write_text(instrumental_gdag().to_json())
+    assert run(["check-dist", str(gp), _instrumental_violation(tmp_path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["instrumental_value"] == "2"
+
+
+def test_check_dist_conditional_only_on_instrumental(tmp_path, capsys, bell_path):
+    """The instrumental inequality bounds only the instrumental graph, so
+    a family checked against Bell is bad input, not a violation."""
+    assert run(["check-dist", bell_path, _instrumental_violation(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ineq_triangle(tmp_path, capsys):

@@ -94,8 +94,9 @@ def test_cone_json_round_trip():
     [
         '{"variables": ["A"], "ineqs": [{"coeffs": {"A": "1/0"}}]}',
         '{"variables": ["A", "A"], "ineqs": [{"coeffs": {"A": "1/1"}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"B": "1/1"}}]}',
     ],
-    ids=["zero-denominator", "repeated-variable"],
+    ids=["zero-denominator", "repeated-variable", "unknown-variable"],
 )
 def test_cone_from_json_bad_input(text):
     with pytest.raises(ConeError):
