@@ -121,6 +121,36 @@ def _instrumental_verdict(dist: ConditionalDistribution) -> tuple[Fraction, bool
     return v, v > 1
 
 
+def _instrumental_family(
+    g: GDag, dist: ConditionalDistribution
+) -> ConditionalDistribution:
+    """``dist`` ordered as ``instrumental_value`` reads it, outcome then
+    treatment given the instrument, with the ids matched to the roles of
+    ``g``, a graph isomorphic to the instrumental graph: the instrument
+    is the observed root, the treatment its child and the outcome the
+    other observed node."""
+    obs = g.observed_nodes()
+    instrument = next(v for v in obs if not g.parents(v))
+    treatment = next(iter(g.children(instrument)))
+    outcome = next(v for v in obs if v not in (instrument, treatment))
+    names = [n for n, _ in dist.variables]
+    # ids are distinct, so the set test also fixes the variable count
+    if [n for n, _ in dist.given] != [instrument] or set(names) != {outcome, treatment}:
+        raise CliError(
+            f"the family must be over {outcome!r} and {treatment!r} "
+            f"given {instrument!r}"
+        )
+    if names[0] == outcome:
+        return dist
+    slices = [
+        dist.slice((y,)).marginal((outcome, treatment))
+        for y in range(dist.given[0][1])
+    ]
+    return ConditionalDistribution(
+        slices[0].variables, dist.given, tuple(p for s in slices for p in s.probs)
+    )
+
+
 def _cmd_check_dist(args) -> int:
     g = read_graph(args.graph)
     dist = _read_dist(args.dist)
@@ -137,7 +167,7 @@ def _cmd_check_dist(args) -> int:
             )
         if len(dist.given) != 1:
             raise CliError("conditional distributions need exactly one given")
-        v, violated = _instrumental_verdict(dist)
+        v, violated = _instrumental_verdict(_instrumental_family(g, dist))
         out["instrumental_value"] = str(v)
         if violated:
             code = 1

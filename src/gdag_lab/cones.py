@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
@@ -28,11 +29,12 @@ class _Routing(NamedTuple):
     max_denominator: int
 
 
-#: Float thresholds of the HiGHS proposal in ``_rows_implies``: an LP
+#: Float thresholds of the HiGHS proposal in ``_float_proposal``: an LP
 #: optimum above ``tol`` proposes a Farkas vector, rationalised with
-#: denominators up to ``max_denominator``; otherwise row duals above
-#: ``tol`` propose a support.  They only choose which exact check runs
-#: and never decide an answer.
+#: denominators up to ``max_denominator``; otherwise the row duals above
+#: ``tol``, rationalised the same way, propose the multipliers of the
+#: target, and their support a smaller exact solve.  They only choose
+#: which exact check runs and never decide an answer.
 LP_ROUTING = _Routing(tol=1e-9, max_denominator=10**6)
 
 
@@ -257,52 +259,108 @@ def _exact_implies(
     return lam is not None
 
 
-def _float_proposal(
-    rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
-) -> Optional[bool]:
-    """Ask HiGHS for  max target.y  s.t.  r.y <= 0 for every row,
-    -1 <= y <= 1.  An optimum of 0 proposes the support of the row duals,
-    a positive optimum proposes y as a Farkas vector.  Returns the answer
-    once an exact check confirms the proposal, else None."""
+def _refutes(
+    y: Sequence[int], target: tuple[int, ...], rows: Iterable[tuple[int, ...]]
+) -> bool:
+    """Is y an integer Farkas vector against target: y.target > 0 and
+    y.r <= 0 for every row?  Then target is not a nonnegative
+    combination of the rows."""
+    ks = [k for k, c in enumerate(y) if c]
+    cs = [y[k] for k in ks]
+
+    def dot(r: tuple[int, ...]) -> int:
+        return sum(map(mul, map(r.__getitem__, ks), cs))
+
+    return dot(target) > 0 and all(dot(r) <= 0 for r in rows)
+
+
+def _combines_to(
+    lam: Sequence[int], rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> bool:
+    """Is sum(lam_j * rows_j) a positive multiple of target (nonzero)?
+    Checked in integers."""
+    v = [0] * len(target)
+    for c, r in zip(lam, rows):
+        if c:
+            v = [a + c * b for a, b in zip(v, r)]
+    i = next(i for i, t in enumerate(target) if t)
+    return v[i] * target[i] > 0 and all(
+        a * target[i] == t * v[i] for a, t in zip(v, target)
+    )
+
+
+def _rationalize(values: list[float]) -> list[Fraction]:
+    """Each value as a fraction with denominator at most
+    ``LP_ROUTING.max_denominator``; a vertex or a dual vector repeats
+    few values, so each is rationalised once."""
+    exact = {
+        v: Fraction(v).limit_denominator(LP_ROUTING.max_denominator)
+        for v in set(values)
+    }
+    return [exact[v] for v in values]
+
+
+def _numpy():
+    """NumPy when SciPy's HiGHS can be loaded with it, else None.  Both
+    load on first use: ``gdag_lab`` imports this module."""
     try:
-        from scipy.optimize import linprog
+        import numpy
+        import scipy.optimize  # noqa: F401
     except ImportError:
         return None
-    coords = _active_coords(rows, target)
+    return numpy
+
+
+def _float_proposal(
+    rows: Sequence[tuple[int, ...]],
+    target: tuple[int, ...],
+    coords: list[int],
+    a_ub,
+    c,
+    pool: Optional[dict] = None,
+) -> Optional[bool]:
+    """Ask HiGHS for  max target.y  s.t.  r.y <= 0 for every row,
+    -1 <= y <= 1, posed on the active ``coords`` as the float matrix
+    ``a_ub`` of the rows and the objective ``c`` = -target.
+
+    A positive optimum proposes y as a Farkas vector.  An optimum of 0
+    proposes the row duals as the multipliers of target, and failing
+    that their support.  Returns the answer once an exact check confirms
+    a proposal, else None.  A confirmed Farkas vector joins ``pool``: a
+    dict from the vector, as an int tuple in full coordinates, to its
+    float array for screening."""
+    import numpy as np
+    from scipy.optimize import linprog
+
     res = linprog(
-        c=[-float(target[k]) for k in coords],
-        A_ub=[[float(r[k]) for k in coords] for r in rows],
-        b_ub=[0.0] * len(rows),
-        bounds=(-1, 1),
-        method="highs",
+        c=c, A_ub=a_ub, b_ub=np.zeros(len(rows)), bounds=(-1, 1), method="highs"
     )
     if res.status != 0:
         return None
     if -res.fun > LP_ROUTING.tol:
-        # y rationalised and scaled to integers must refute exactly; a
-        # vertex repeats few values, so each is rationalised once
-        x = res.x.tolist()
-        exact = {
-            v: Fraction(v).limit_denominator(LP_ROUTING.max_denominator)
-            for v in set(x)
-        }
-        y = _normalize([exact[v] for v in x])
+        y = _normalize(_rationalize(res.x.tolist()))
         if y is None:
             return None
-        ks = [coords[i] for i, c in enumerate(y) if c]
-        cs = [c for c in y if c]
-
-        def dot(r: tuple[int, ...]) -> int:
-            return sum(map(mul, map(r.__getitem__, ks), cs))
-
-        refuted = dot(target) > 0 and all(dot(r) <= 0 for r in rows)
-        return False if refuted else None
-    support = [
-        rows[j]
-        for j, d in enumerate(res.ineqlin.marginals)
-        if -d > LP_ROUTING.tol
-    ]
-    return True if support and _exact_implies(support, target) else None
+        full = [0] * len(target)
+        for k, v in zip(coords, y):
+            full[k] = v
+        if not _refutes(full, target, rows):
+            return None
+        if pool is not None:
+            # scaled by a power of two: exact where the ints are, and no
+            # overflow however large they are
+            scale = 1 << max(map(abs, full)).bit_length()
+            pool[tuple(full)] = np.array([v / scale for v in full])
+        return False
+    duals = (-res.ineqlin.marginals).tolist()
+    support = [j for j, d in enumerate(duals) if d > LP_ROUTING.tol]
+    if not support:
+        return None
+    lam = _normalize(_rationalize([duals[j] for j in support]))
+    used = [rows[j] for j in support]
+    if lam is not None and _combines_to(lam, used, target):
+        return True
+    return True if _exact_implies(used, target) else None
 
 
 def _rows_implies(
@@ -311,18 +369,79 @@ def _rows_implies(
     """Is target a nonnegative combination of rows?
 
     A float LP, when SciPy is installed, only proposes a certificate:
-    "implied" needs an exact solve on the proposed support, "not implied"
-    an exact integer Farkas check.  Without SciPy, or when the proposal
-    does not verify, the exact simplex decides.
+    "implied" needs multipliers that combine to target in integers, or
+    an exact solve on the proposed support; "not implied" an exact
+    integer Farkas check.  Without SciPy, or when the proposal does not
+    verify, the exact simplex decides.
     """
     if not rows or not any(target):
         return not any(target)
-    answer = _float_proposal(rows, target)
+    np = _numpy()
+    answer = None
+    if np is not None:
+        coords = _active_coords(rows, target)
+        answer = _float_proposal(
+            rows,
+            target,
+            coords,
+            np.array(rows, dtype=float)[:, coords],
+            -np.array(target, dtype=float)[coords],
+        )
     return _exact_implies(rows, target) if answer is None else answer
 
 
+class _FloatRows:
+    """The float side of one ``_minimize``: its sorted rows as one float
+    matrix, and the pooled Farkas vectors screened against them."""
+
+    def __init__(self, np, rows: list[tuple[int, ...]], pool) -> None:
+        self.np = np
+        self.rows = rows
+        self.pool = pool
+        self.a = np.array(rows, dtype=float)
+        self.nonzero = self.a != 0
+        # vectors this pass adds cannot refute another of its rows: each
+        # refutes a row that the pass keeps
+        self.witnesses = list(pool or ())
+        if self.witnesses:
+            self.positive = np.array(list(pool.values())) @ self.a.T > 0
+            # per vector, the live rows it is positive on; a vector
+            # refutes row j only if j is the one
+            self.live_positive = self.positive.sum(axis=1)
+
+    def witnessed(self, j: int, rest: list[tuple[int, ...]]) -> bool:
+        """Does a pooled vector refute row j against ``rest``?  Floats
+        screen, integers decide."""
+        if not self.witnesses:
+            return False
+        hits = self.np.flatnonzero(self.positive[:, j] & (self.live_positive == 1))
+        return any(
+            _refutes(self.witnesses[i], self.rows[j], rest) for i in hits.tolist()
+        )
+
+    def drop(self, j: int) -> None:
+        if self.witnesses:
+            self.live_positive -= self.positive[:, j]
+
+    def proposal(self, j: int, keep: list[bool], rest) -> Optional[bool]:
+        """``_float_proposal`` for row j against the rows in ``keep``."""
+        np = self.np
+        live = np.array(keep)
+        coords = np.flatnonzero(self.nonzero[live].any(axis=0) | self.nonzero[j])
+        return _float_proposal(
+            rest,
+            self.rows[j],
+            coords.tolist(),
+            self.a[np.ix_(live, coords)],
+            -self.a[j, coords],
+            self.pool,
+        )
+
+
 def _minimize(
-    rows: list[tuple[int, ...]], irredundant: Collection[tuple[int, ...]] = ()
+    rows: list[tuple[int, ...]],
+    irredundant: Collection[tuple[int, ...]] = (),
+    pool: Optional[dict] = None,
 ) -> list[tuple[int, ...]]:
     """Drop rows implied by the remaining ones (greedy, deterministic).
 
@@ -331,16 +450,32 @@ def _minimize(
     already minimised set: every other new row is a nonnegative
     combination of that set without r, so the Farkas vector that
     refuted r there still refutes it, and the greedy would keep r too.
+
+    ``pool`` holds integer Farkas vectors, over the rows' coordinates,
+    from earlier passes.  One that refutes r against the remaining rows
+    keeps r without an LP (Farkas's lemma), and every Farkas vector this
+    pass confirms joins the pool.  A new row is a positive combination
+    of two rows of the previous step, and the vector that refuted one
+    of them often still refutes it.  Every answer, whatever its route,
+    is exact, so the greedy keeps the same rows.
     """
     rows = sorted(_dedupe(rows))
-    keep = list(rows)
-    for r in rows:
+    keep = [True] * len(rows)
+    np = _numpy() if any(r not in irredundant for r in rows) else None
+    floats = _FloatRows(np, rows, pool) if np is not None else None
+    for j, r in enumerate(rows):
         if r in irredundant:
             continue
-        rest = [q for q in keep if q != r]
-        if rest and _rows_implies(rest, r):
-            keep = rest
-    return keep
+        keep[j] = False
+        rest = list(compress(rows, keep))
+        if not rest or floats and floats.witnessed(j, rest):
+            keep[j] = True
+        elif any(r):
+            answer = floats.proposal(j, keep, rest) if floats else None
+            keep[j] = not (_exact_implies(rest, r) if answer is None else answer)
+        if floats and not keep[j]:
+            floats.drop(j)
+    return list(compress(rows, keep))
 
 
 def _eliminate_coord(
@@ -417,9 +552,11 @@ def derive_classical_cone(
     latent_coords.sort(key=lambda m: (bin(m).count("1"), m))
     # rows already proved irredundant; the first step's input never was
     kept: frozenset[tuple[int, ...]] = frozenset()
+    # Farkas vectors confirmed at every step, over g's subsets
+    pool: dict = {}
     for step, m in enumerate(latent_coords):
         rows = _eliminate_coord(rows, m - 1)
-        rows = _minimize(rows, kept)
+        rows = _minimize(rows, kept, pool)
         kept = frozenset(rows)
         if progress:
             import sys

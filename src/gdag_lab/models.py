@@ -426,8 +426,9 @@ def observed_from_classical_gmc(model: ClassicalGmcModel) -> Distribution:
         denominator *= lcm
 
     pending = [e for e in g.edges if not g.is_observed(e[0])]
+    size = {e: _joined_size(factors, e, card) for e in pending}
     while pending:
-        e = min(pending, key=lambda e: _joined_size(factors, e, card))
+        e = min(pending, key=size.__getitem__)
         pending.remove(e)
         using = [f for f in factors if e in f[0]]
         factors = [f for f in factors if e not in f[0]]
@@ -435,6 +436,10 @@ def observed_from_classical_gmc(model: ClassicalGmcModel) -> Distribution:
         for f in using[1:]:
             joined = _multiply(joined, f)
         factors.append(_project(joined, [v for v in joined[0] if v != e]))
+        # only an edge in a merged factor has a new joined table
+        for v in pending:
+            if v in joined[0]:
+                size[v] = _joined_size(factors, v, card)
 
     joint: _Factor = ((), {(): 1})
     for f in factors:

@@ -172,10 +172,33 @@ def test_instrumental_random_models_bounded():
 # -- 7: Bell entropic cones coincide ------------------------------------
 
 
-def test_bell_entropic_equality():
-    g = bell_gdag()
-    ec = derive_classical_cone(g)
-    ei = derive_independence_cone(g)
+@pytest.fixture(scope="module")
+def derived_cones() -> dict[str, tuple[Cone, Cone]]:
+    """E_C and E_I of Bell and the triangle, derived once for the module."""
+    return {
+        name: (derive_classical_cone(make()), derive_independence_cone(make()))
+        for name, make in (("bell", bell_gdag), ("triangle", triangle_gdag))
+    }
+
+
+#: sha256 of ``Cone.to_json()`` of E_C and E_I; the same bytes are pinned
+#: by the benchmark's cones workload.
+CONE_JSON = {
+    ("bell", 0): "708315ae94d7d6fe4144b409f909a770f309bdb56e4aff3fe9cd286f65a9958c",
+    ("bell", 1): "cd16f9a31fbea41886f3f65cb4314ccb7744b6f23ca2f990f482ad3704e9ba64",
+    ("triangle", 0): "0de3a05e0544d85d6dca94470ab93c3f64cd88387e8ae5b736cb8415dfe93158",
+    ("triangle", 1): "136476b1d39ca2fa9da7398ecfb35061080194719e7e137f27d570aaee70c98e",
+}
+
+
+def test_cone_json_pinned(derived_cones):
+    for (name, which), digest in CONE_JSON.items():
+        text = derived_cones[name][which].to_json()
+        assert sha256(text.encode()).hexdigest() == digest, (name, which)
+
+
+def test_bell_entropic_equality(derived_cones):
+    ec, ei = derived_cones["bell"]
     assert all(implied_by(i, ei) for i in ec.ineqs())
     assert all(implied_by(i, ec) for i in ei.ineqs())
 
@@ -183,8 +206,7 @@ def test_bell_entropic_equality():
 # -- 8: triangle monogamy is entropic-classical but not independence ----
 
 
-def test_triangle_entropic_monogamy():
-    g = triangle_gdag()
+def test_triangle_entropic_monogamy(derived_cones):
     mono = LinIneq(
         {
             frozenset({"A"}): F(-1),
@@ -194,8 +216,7 @@ def test_triangle_entropic_monogamy():
             frozenset({"B", "C"}): F(1),
         }
     )
-    ec = derive_classical_cone(g)
-    ei = derive_independence_cone(g)
+    ec, ei = derived_cones["triangle"]
     assert implied_by(mono, ec)
     assert not implied_by(mono, ei)
 
@@ -224,11 +245,8 @@ def test_reduction_idempotent():
         assert reduce(r) == r
 
 
-def test_derived_cone_rows_irredundant():
-    for c in (
-        derive_independence_cone(bell_gdag()),
-        derive_independence_cone(triangle_gdag()),
-    ):
+def test_derived_cone_rows_irredundant(derived_cones):
+    for c in (derived_cones["bell"][1], derived_cones["triangle"][1]):
         rows = list(c.rows)
         ineqs = c.ineqs()
         for i in range(len(rows)):

@@ -133,6 +133,31 @@ def test_check_dist_conditional(tmp_path, capsys):
     assert out["instrumental_value"] == "2"
 
 
+def test_check_dist_conditional_ids_by_role(tmp_path, capsys):
+    """The ids are matched to the graph's roles: listing the treatment
+    first gives the same value, and a family over other nodes, or given
+    another node than the instrument, is bad input."""
+    gp = tmp_path / "instrumental.json"
+    gp.write_text(instrumental_gdag().to_json())
+    swapped = [F(0)] * 8
+    for y in range(2):
+        for a in range(2):
+            for b in range(2):
+                if b == 0 and a == y:
+                    swapped[4 * y + 2 * b + a] = F(1)
+    fam = ConditionalDistribution((("B", 2), ("A", 2)), (("Y", 2),), tuple(swapped))
+    assert run(["check-dist", str(gp), _dist_path(tmp_path, fam, "ba.json")]) == 1
+    assert json.loads(capsys.readouterr().out)["instrumental_value"] == "2"
+    for names, given in ((("P", "Q"), "R"), (("A", "Y"), "B")):
+        fam = ConditionalDistribution(
+            ((names[0], 2), (names[1], 2)), ((given, 2),), tuple(swapped)
+        )
+        assert run(["check-dist", str(gp), _dist_path(tmp_path, fam)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_dist_conditional_only_on_instrumental(tmp_path, capsys, bell_path):
     """The instrumental inequality bounds only the instrumental graph, so
     a family checked against Bell is bad input, not a violation."""

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations
 from random import Random
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from gdag_lab.catalog import (
     bell_gdag,
     chain,
     collider,
+    extended_bell_gdag,
     instrumental_gdag,
     one_sided_bell_gdag,
 )
@@ -354,6 +356,11 @@ def _solved(fun, x, marginals):
         # (1, 1) = (1, 0) + (0, 1), yet the fake LP claims optimum 1 at
         # y = (1, 0), which violates (1, 0) . y <= 0.
         ([(1, 0), (0, 1)], (1, 1), _solved(-1.0, [1.0, 0.0], [0.0, 0.0]), True),
+        # The duals combine to (1, 1) = -1 * (-1, -1), a negative multiple.
+        ([(1, 0), (0, 1)], (-1, -1), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), False),
+        # (1, 2) is implied, but the duals combine to (1, 1): the support
+        # solve finds the multipliers.
+        ([(1, 0), (0, 1)], (1, 2), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), True),
     ],
 )
 def test_wrong_proposal_is_not_trusted(rows, target, proposal, answer, monkeypatch):
@@ -372,8 +379,12 @@ def test_rows_implies_exact_under_adversarial_lp(system, data):
 
     def linprog(c, A_ub, **kw):
         if data.draw(st.booleans(), label="claims implied"):
+            # duals of either sign and any size, mostly not combining to
+            # a positive multiple of the target
             duals = st.lists(
-                st.sampled_from([0.0, -1.0]), min_size=len(A_ub), max_size=len(A_ub)
+                st.sampled_from([0.0, -1.0, -0.5, -3.0, 1.0, -1e-12]),
+                min_size=len(A_ub),
+                max_size=len(A_ub),
             )
             return _solved(0.0, [0.0] * len(c), data.draw(duals))
         y = st.lists(
@@ -409,6 +420,17 @@ def test_cones_without_scipy_match(make, monkeypatch):
     assert _cone_answers(make()) == with_scipy
 
 
+@pytest.mark.long_run
+def test_seven_node_classical_cone_pinned():
+    """E_C of the extended Bell graph without its sink C (seven nodes,
+    three latent; about half a minute)."""
+    g = extended_bell_gdag().without_nodes(["C"])
+    ec = derive_classical_cone(g, allow_large=True)
+    assert sha256(ec.to_json().encode()).hexdigest() == (
+        "0987c3791a9d877503359771fb89949301a5511e703c177b1a66b8f0c6f258e9"
+    )
+
+
 # -- rows carried across Fourier-Motzkin steps ---------------------------
 
 
@@ -418,7 +440,9 @@ def test_carried_rows_match_full_minimisation(make, monkeypatch):
     the same rows in the same order."""
     carried = derive_classical_cone(make())
     full = cones._minimize
-    monkeypatch.setattr(cones, "_minimize", lambda rows, irredundant=(): full(rows))
+    monkeypatch.setattr(
+        cones, "_minimize", lambda rows, irredundant=(), pool=None: full(rows)
+    )
     assert derive_classical_cone(make()).rows == carried.rows
 
 
@@ -429,9 +453,9 @@ def test_carried_rows_not_implied(make, monkeypatch):
     steps = []
     full = cones._minimize
 
-    def spy(rows, irredundant=()):
+    def spy(rows, irredundant=(), pool=None):
         steps.append((rows, irredundant))
-        return full(rows, irredundant)
+        return full(rows, irredundant, pool)
 
     monkeypatch.setattr(cones, "_minimize", spy)
     derive_classical_cone(make())
@@ -441,3 +465,23 @@ def test_carried_rows_not_implied(make, monkeypatch):
             assert not cones._exact_implies([q for q in rows if q != r], r)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("make", [bell_gdag, one_sided_bell_gdag, instrumental_gdag])
+def test_pooled_witness_rows_not_implied(make, monkeypatch):
+    """Every row kept by a Farkas vector pooled from an earlier step is,
+    exactly, not implied by the rows it was checked against."""
+    kept = []
+    witnessed = cones._FloatRows.witnessed
+
+    def spy(self, j, rest):
+        hit = witnessed(self, j, rest)
+        if hit:
+            kept.append((self.rows[j], rest))
+        return hit
+
+    monkeypatch.setattr(cones._FloatRows, "witnessed", spy)
+    derive_classical_cone(make())
+    assert kept
+    for r, rest in kept:
+        assert not cones._exact_implies(rest, r)
