@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, inf
 from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
@@ -26,16 +26,15 @@ MAX_CONE_NODES = 6
 
 class _Routing(NamedTuple):
     tol: float
-    max_denominator: int
 
 
-#: Float thresholds of the HiGHS proposal in ``_float_proposal``: an LP
-#: optimum above ``tol`` proposes a Farkas vector, rationalised with
-#: denominators up to ``max_denominator``; otherwise the row duals above
-#: ``tol``, rationalised the same way, propose the multipliers of the
-#: target, and their support a smaller exact solve.  They only choose
-#: which exact check runs and never decide an answer.
-LP_ROUTING = _Routing(tol=1e-9, max_denominator=10**6)
+#: Float threshold of the HiGHS proposal in ``_confirm``: an LP optimum
+#: above ``tol`` proposes a Farkas vector; otherwise the row duals above
+#: ``tol`` propose the multipliers of the target, and their support a
+#: smaller exact solve.  Each proposed value is rationalised to the
+#: first continued-fraction convergent within ``tol * max(1, |v|)``.
+#: It only chooses which exact check runs and never decides an answer.
+LP_ROUTING = _Routing(tol=1e-9)
 
 
 class ConeError(ValueError):
@@ -289,56 +288,120 @@ def _combines_to(
     )
 
 
+def _convergent(v: float) -> Fraction:
+    """The first continued-fraction convergent of v within
+    ``LP_ROUTING.tol * max(1, |v|)`` of it: the simplest fraction that
+    float noise of that size cannot tell from v."""
+    bound = LP_ROUTING.tol * max(1.0, abs(v))
+    num, den = v.as_integer_ratio()
+    p, q, p0, q0 = 1, 0, 0, 1
+    while True:
+        a, rem = divmod(num, den)
+        p, q, p0, q0 = a * p + p0, a * q + q0, p, q
+        if rem == 0 or abs(p / q - v) <= bound:
+            return Fraction(p, q)
+        num, den = den, rem
+
+
 def _rationalize(values: list[float]) -> list[Fraction]:
-    """Each value as a fraction with denominator at most
-    ``LP_ROUTING.max_denominator``; a vertex or a dual vector repeats
-    few values, so each is rationalised once."""
-    exact = {
-        v: Fraction(v).limit_denominator(LP_ROUTING.max_denominator)
-        for v in set(values)
-    }
+    """Each value as its ``_convergent``; a vertex or a dual vector
+    repeats few values, so each is rationalised once."""
+    exact = {v: _convergent(v) for v in set(values)}
     return [exact[v] for v in values]
 
 
 def _numpy():
-    """NumPy when SciPy's HiGHS can be loaded with it, else None.  Both
+    """NumPy when SciPy's HiGHS bindings load with it, else None.  They
     load on first use: ``gdag_lab`` imports this module."""
     try:
         import numpy
+        # the package itself: a submodule already loaded would still
+        # import with scipy.optimize hidden
         import scipy.optimize  # noqa: F401
+        from scipy.optimize._highspy import _core  # noqa: F401
     except ImportError:
         return None
     return numpy
 
 
-def _float_proposal(
+class _HighsLp:
+    """max t.y  s.t.  r.y <= 0 for every row r of the float matrix
+    ``a``, -1 <= y <= 1: one HiGHS model, loaded once and re-solved from
+    the last basis for each objective t.  Presolve is off so that the
+    basis carries over from one solve to the next."""
+
+    def __init__(self, np, a) -> None:
+        from scipy.optimize._highspy import _core
+
+        self.optimal = _core.HighsModelStatus.kOptimal
+        self.highs = highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        m, n = a.shape
+        lp = _core.HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_ = np.zeros(n)
+        lp.col_lower_ = np.full(n, -1.0)
+        lp.col_upper_ = np.ones(n)
+        lp.row_lower_ = np.full(m, -inf)
+        lp.row_upper_ = np.zeros(m)
+        nonzero = a != 0
+        matrix = lp.a_matrix_
+        matrix.format_ = _core.MatrixFormat.kRowwise
+        matrix.num_col_, matrix.num_row_ = n, m
+        matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+        matrix.index_ = np.nonzero(nonzero)[1]
+        matrix.value_ = a[nonzero]
+        highs.passModel(lp)
+        self.cols = np.arange(n, dtype=np.int32)
+
+    def free(self, i: int) -> None:
+        """Lift row i's bound: the row no longer constrains y."""
+        self.highs.changeRowBounds(i, -inf, inf)
+
+    def bound(self, i: int) -> None:
+        """Restore row i's bound r.y <= 0."""
+        self.highs.changeRowBounds(i, -inf, 0.0)
+
+    def solve(self, t) -> Optional[tuple[float, list[float], list[float]]]:
+        """The optimum, the vertex y and the row duals (>= 0, one per
+        row) of  max t.y; None when HiGHS does not end optimal, and then
+        the next solve starts from no basis."""
+        highs = self.highs
+        highs.changeColsCost(len(self.cols), self.cols, -t)
+        highs.run()
+        if highs.getModelStatus() != self.optimal:
+            highs.clearSolver()
+            return None
+        solution = highs.getSolution()
+        return (
+            -highs.getObjectiveValue(),
+            solution.col_value,
+            [-d for d in solution.row_dual],
+        )
+
+
+def _confirm(
     rows: Sequence[tuple[int, ...]],
     target: tuple[int, ...],
-    coords: list[int],
-    a_ub,
-    c,
+    coords: Sequence[int],
+    optimum: float,
+    vertex: list[float],
+    duals: list[float],
     pool: Optional[dict] = None,
 ) -> Optional[bool]:
-    """Ask HiGHS for  max target.y  s.t.  r.y <= 0 for every row,
-    -1 <= y <= 1, posed on the active ``coords`` as the float matrix
-    ``a_ub`` of the rows and the objective ``c`` = -target.
+    """Check what HiGHS proposes for  max target.y  s.t.  r.y <= 0 for
+    every row, -1 <= y <= 1: its ``optimum``, the ``vertex`` y on the
+    columns ``coords`` and the ``duals``, one per row.
 
     A positive optimum proposes y as a Farkas vector.  An optimum of 0
-    proposes the row duals as the multipliers of target, and failing
-    that their support.  Returns the answer once an exact check confirms
-    a proposal, else None.  A confirmed Farkas vector joins ``pool``: a
+    proposes the duals as the multipliers of target, and failing that
+    their support.  Returns the answer once an exact check confirms a
+    proposal, else None.  A confirmed Farkas vector joins ``pool``: a
     dict from the vector, as an int tuple in full coordinates, to its
     float array for screening."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=c, A_ub=a_ub, b_ub=np.zeros(len(rows)), bounds=(-1, 1), method="highs"
-    )
-    if res.status != 0:
-        return None
-    if -res.fun > LP_ROUTING.tol:
-        y = _normalize(_rationalize(res.x.tolist()))
+    if optimum > LP_ROUTING.tol:
+        y = _normalize(_rationalize(vertex))
         if y is None:
             return None
         full = [0] * len(target)
@@ -347,12 +410,13 @@ def _float_proposal(
         if not _refutes(full, target, rows):
             return None
         if pool is not None:
+            import numpy as np
+
             # scaled by a power of two: exact where the ints are, and no
             # overflow however large they are
             scale = 1 << max(map(abs, full)).bit_length()
             pool[tuple(full)] = np.array([v / scale for v in full])
         return False
-    duals = (-res.ineqlin.marginals).tolist()
     support = [j for j, d in enumerate(duals) if d > LP_ROUTING.tol]
     if not support:
         return None
@@ -380,31 +444,33 @@ def _rows_implies(
     answer = None
     if np is not None:
         coords = _active_coords(rows, target)
-        answer = _float_proposal(
-            rows,
-            target,
-            coords,
-            np.array(rows, dtype=float)[:, coords],
-            -np.array(target, dtype=float)[coords],
+        solved = _HighsLp(np, np.array(rows, dtype=float)[:, coords]).solve(
+            np.array(target, dtype=float)[coords]
         )
+        if solved is not None:
+            answer = _confirm(rows, target, coords, *solved)
     return _exact_implies(rows, target) if answer is None else answer
 
 
 class _FloatRows:
-    """The float side of one ``_minimize``: its sorted rows as one float
-    matrix, and the pooled Farkas vectors screened against them."""
+    """The float side of one ``_minimize``: one HiGHS model of its sorted
+    rows on the coordinates they mention, and the pooled Farkas vectors
+    screened against them."""
 
     def __init__(self, np, rows: list[tuple[int, ...]], pool) -> None:
         self.np = np
         self.rows = rows
         self.pool = pool
-        self.a = np.array(rows, dtype=float)
-        self.nonzero = self.a != 0
+        a = np.array(rows, dtype=float)
+        coords = np.flatnonzero((a != 0).any(axis=0))
+        self.coords = coords.tolist()
+        self.a = np.ascontiguousarray(a[:, coords])
+        self.lp = _HighsLp(np, self.a)
         # vectors this pass adds cannot refute another of its rows: each
         # refutes a row that the pass keeps
         self.witnesses = list(pool or ())
         if self.witnesses:
-            self.positive = np.array(list(pool.values())) @ self.a.T > 0
+            self.positive = np.array(list(pool.values())) @ a.T > 0
             # per vector, the live rows it is positive on; a vector
             # refutes row j only if j is the one
             self.live_positive = self.positive.sum(axis=1)
@@ -419,23 +485,32 @@ class _FloatRows:
             _refutes(self.witnesses[i], self.rows[j], rest) for i in hits.tolist()
         )
 
-    def drop(self, j: int) -> None:
-        if self.witnesses:
-            self.live_positive -= self.positive[:, j]
-
     def proposal(self, j: int, keep: list[bool], rest) -> Optional[bool]:
-        """``_float_proposal`` for row j against the rows in ``keep``."""
-        np = self.np
-        live = np.array(keep)
-        coords = np.flatnonzero(self.nonzero[live].any(axis=0) | self.nonzero[j])
-        return _float_proposal(
+        """Row j against the rows in ``keep``: free row j, maximise
+        row j on the model and ``_confirm`` the answer."""
+        self.lp.free(j)
+        solved = self.lp.solve(self.a[j])
+        if solved is None:
+            return None
+        optimum, vertex, duals = solved
+        return _confirm(
             rest,
             self.rows[j],
-            coords.tolist(),
-            self.a[np.ix_(live, coords)],
-            -self.a[j, coords],
+            self.coords,
+            optimum,
+            vertex,
+            list(compress(duals, keep)),
             self.pool,
         )
+
+    def settle(self, j: int, kept: bool) -> None:
+        """Row j's verdict: a kept row gets its bound back; a dropped
+        one stays free as its test left it (a zero row, never tested,
+        constrains nothing) and leaves the witness counts."""
+        if kept:
+            self.lp.bound(j)
+        elif self.witnesses:
+            self.live_positive -= self.positive[:, j]
 
 
 def _minimize(
@@ -473,8 +548,8 @@ def _minimize(
         elif any(r):
             answer = floats.proposal(j, keep, rest) if floats else None
             keep[j] = not (_exact_implies(rest, r) if answer is None else answer)
-        if floats and not keep[j]:
-            floats.drop(j)
+        if floats:
+            floats.settle(j, keep[j])
     return list(compress(rows, keep))
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,16 +334,29 @@ def test_rows_implies_matches_exact_lp(system):
     assert _rows_implies(rows, target) == _exact_answer(rows, target)
 
 
-def _solved(fun, x, marginals):
-    """What scipy.optimize.linprog returns for a successful solve."""
-    import numpy as np
+def _fake_lp(mp, answer):
+    """Replace the HiGHS model by a fake whose every solve returns
+    ``answer(m, n)`` for its m rows and n columns: an (optimum, vertex,
+    duals) triple, or None for a solve that does not end optimal.
+    Returns the list the fake appends each objective to."""
+    calls = []
 
-    return SimpleNamespace(
-        status=0,
-        fun=fun,
-        x=np.array(x, dtype=float),
-        ineqlin=SimpleNamespace(marginals=np.array(marginals, dtype=float)),
-    )
+    class FakeLp:
+        def __init__(self, np, a):
+            self.shape = a.shape
+
+        def free(self, i):
+            pass
+
+        def bound(self, i):
+            pass
+
+        def solve(self, t):
+            calls.append(t)
+            return answer(*self.shape)
+
+    mp.setattr(cones, "_HighsLp", FakeLp)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -352,22 +364,38 @@ def _solved(fun, x, marginals):
     [
         # (-1, 0) is not implied, yet the fake LP claims optimum 0 with
         # both rows in the support.
-        ([(1, 0), (0, 1)], (-1, 0), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), False),
+        ([(1, 0), (0, 1)], (-1, 0), (0.0, [0.0, 0.0], [1.0, 1.0]), False),
         # (1, 1) = (1, 0) + (0, 1), yet the fake LP claims optimum 1 at
         # y = (1, 0), which violates (1, 0) . y <= 0.
-        ([(1, 0), (0, 1)], (1, 1), _solved(-1.0, [1.0, 0.0], [0.0, 0.0]), True),
+        ([(1, 0), (0, 1)], (1, 1), (1.0, [1.0, 0.0], [0.0, 0.0]), True),
         # The duals combine to (1, 1) = -1 * (-1, -1), a negative multiple.
-        ([(1, 0), (0, 1)], (-1, -1), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), False),
+        ([(1, 0), (0, 1)], (-1, -1), (0.0, [0.0, 0.0], [1.0, 1.0]), False),
         # (1, 2) is implied, but the duals combine to (1, 1): the support
         # solve finds the multipliers.
-        ([(1, 0), (0, 1)], (1, 2), _solved(0.0, [0.0, 0.0], [-1.0, -1.0]), True),
+        ([(1, 0), (0, 1)], (1, 2), (0.0, [0.0, 0.0], [1.0, 1.0]), True),
     ],
 )
 def test_wrong_proposal_is_not_trusted(rows, target, proposal, answer, monkeypatch):
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda **kw: proposal)
+    calls = _fake_lp(monkeypatch, lambda m, n: proposal)
     assert _rows_implies(rows, target) == answer
+    assert calls
+
+
+def _adversarial(data, m, n):
+    """A fake HiGHS answer for m rows and n columns: either optimum 0
+    with duals of either sign and any size, mostly not combining to a
+    positive multiple of the target, or optimum 1 at an arbitrary y."""
+    if data.draw(st.booleans(), label="claims implied"):
+        duals = st.lists(
+            st.sampled_from([0.0, 1.0, 0.5, 3.0, -1.0, 1e-12]),
+            min_size=m,
+            max_size=m,
+        )
+        return 0.0, [0.0] * n, data.draw(duals)
+    y = st.lists(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=n, max_size=n
+    )
+    return 1.0, data.draw(y), [0.0] * m
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,29 +403,84 @@ def test_wrong_proposal_is_not_trusted(rows, target, proposal, answer, monkeypat
 def test_rows_implies_exact_under_adversarial_lp(system, data):
     """Whatever support or Farkas vector the float LP proposes, the answer
     equals the exact LP's."""
-    import scipy.optimize
-
-    def linprog(c, A_ub, **kw):
-        if data.draw(st.booleans(), label="claims implied"):
-            # duals of either sign and any size, mostly not combining to
-            # a positive multiple of the target
-            duals = st.lists(
-                st.sampled_from([0.0, -1.0, -0.5, -3.0, 1.0, -1e-12]),
-                min_size=len(A_ub),
-                max_size=len(A_ub),
-            )
-            return _solved(0.0, [0.0] * len(c), data.draw(duals))
-        y = st.lists(
-            st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
-            min_size=len(c),
-            max_size=len(c),
-        )
-        return _solved(-1.0, data.draw(y), [0.0] * len(A_ub))
-
     rows, target = system
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "linprog", linprog)
+        calls = _fake_lp(mp, lambda m, n: _adversarial(data, m, n))
         assert _rows_implies(rows, target) == _exact_answer(rows, target)
+    assert calls or not any(target)
+
+
+@st.composite
+def _row_sets(draw):
+    """Small integer rows plus exact copies, positive multiples and
+    negations of some of them, and maybe a zero row, shuffled."""
+    dim = draw(st.integers(1, 4))
+    base = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6)
+    )
+    copies = draw(
+        st.lists(
+            st.tuples(st.sampled_from(base), st.sampled_from([1, 2, -1])),
+            max_size=4,
+        )
+    )
+    rows = base + [tuple(s * c for c in r) for r, s in copies]
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    return draw(st.permutations(rows))
+
+
+def _minimize_without_scipy(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "scipy.optimize", None)
+        return cones._minimize(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets())
+def test_minimize_warm_model_matches_exact(rows):
+    """One pass's model frees each tested and each dropped row and
+    restores each kept one: every optimum it proposes equals a cold
+    ``linprog`` solve on the rows still live, and the rows kept equal
+    the exact simplex's with SciPy hidden."""
+    from scipy.optimize import linprog
+
+    proposed = []
+    confirm = cones._confirm
+
+    def spy(rest, target, coords, optimum, *args):
+        proposed.append((rest, target, optimum))
+        return confirm(rest, target, coords, optimum, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_confirm", spy)
+        kept = cones._minimize(rows)
+    for rest, target, optimum in proposed:
+        cold = linprog(
+            [-t for t in target], A_ub=rest, b_ub=[0] * len(rest), bounds=(-1, 1)
+        )
+        assert optimum == pytest.approx(-cold.fun, abs=1e-7)
+    assert kept == _minimize_without_scipy(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _row_sets().filter(lambda rows: len({r for r in rows if any(r)}) > 1),
+    st.data(),
+)
+def test_minimize_exact_under_adversarial_lp(rows, data):
+    """A model that answers a whole pass adversarially, its first solve
+    not optimal, leaves the rows kept as the exact simplex's."""
+
+    def answer(m, n):
+        # calls already holds this solve's objective
+        return _adversarial(data, m, n) if len(calls) > 1 else None
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _fake_lp(mp, answer)
+        kept = cones._minimize(rows)
+    assert calls
+    assert kept == _minimize_without_scipy(rows)
 
 
 def _cone_answers(g):
@@ -423,7 +506,8 @@ def test_cones_without_scipy_match(make, monkeypatch):
 @pytest.mark.long_run
 def test_seven_node_classical_cone_pinned():
     """E_C of the extended Bell graph without its sink C (seven nodes,
-    three latent; about half a minute)."""
+    three latent; 11-20 s with SciPy 1.17.1 on a shared 2-vCPU x86-64
+    host)."""
     g = extended_bell_gdag().without_nodes(["C"])
     ec = derive_classical_cone(g, allow_large=True)
     assert sha256(ec.to_json().encode()).hexdigest() == (
