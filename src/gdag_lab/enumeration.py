@@ -23,17 +23,50 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .graph import GDag, NodeKind, _bits
 from .classify import applicable_reductions, apply_reduction, sufficient_condition_holds
 
-#: The largest census that finishes: n = 6 takes minutes, while n = 7
-#: would key about 46M sink extensions of up to 7! relabellings each.
+#: The largest census that finishes: n = 6 takes over a minute, while
+#: n = 7 would key about 46M sink extensions of up to 7! relabellings
+#: each.  Key tables (see ``_TABLES``) are kept up to this size.
 CENSUS_MAX_N = 6
 
 #: Node names used for generated graphs, shortest first.
 _NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+#: Tables built on first use, each under a key that starts with its node
+#: count n: relabelling rows under (n, k) (see ``_relabellings``) and bit
+#: reversals under (n,).  Only tables for n <= CENSUS_MAX_N are kept; a
+#: larger graph builds its table for the one call and drops it.
+_TABLES: dict[tuple[int, ...], tuple] = {}
+
+
+def _table(key: tuple[int, ...], build) -> tuple:
+    table = _TABLES.get(key)
+    if table is None:
+        table = build(*key)
+        if key[0] <= CENSUS_MAX_N:
+            _TABLES[key] = table
+    return table
+
+
+def _relabellings(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """One row per relabelling of an n-node graph whose k observed nodes
+    are 0..k-1 that keeps them first: entry ``n*v + w`` of the row is the
+    key bit of the edge v -> w under that relabelling.  The rows share
+    one list of the n*n powers of two."""
+    top = n * n - 1
+    power = [1 << b for b in range(n * n)]
+    rows = []
+    for obs_at in permutations(range(k)):
+        for unobs_at in permutations(range(k, n)):
+            at = obs_at + unobs_at
+            rows.append(tuple([power[top - n * a - b] for a in at for b in at]))
+    return tuple(rows)
 
 
 def _code_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> int:
@@ -49,38 +82,44 @@ def _code_of_masks(kinds: Sequence[int], child_mask: Sequence[int]) -> int:
     edge i -> j.  This is the minimum over all n! relabellings of the
     pair (kind vector, adjacency bits), since only those relabellings
     reach the minimal kind vector.
+
+    The nodes are numbered observed first, in order; each edge becomes a
+    slot of the rows of ``_relabellings``, and the sum of a row's slots
+    is that relabelling's bits, so one ``min`` scores every relabelling.
     """
     n = len(kinds)
-    observed = [v for v in range(n) if not kinds[v]]
-    unobserved = [v for v in range(n) if kinds[v]]
-    edges = [(v, w) for v in range(n) for w in _bits(child_mask[v])]
-    top = n * n - 1
-    k = len(observed)
+    order = [v for v in range(n) if not kinds[v]]
+    k = len(order)
+    order += [v for v in range(n) if kinds[v]]
     at = [0] * n
-    best: Optional[int] = None
-    for obs_at in permutations(range(k)):
-        for v, a in zip(observed, obs_at):
-            at[v] = a
-        for unobs_at in permutations(range(k, n)):
-            for v, a in zip(unobserved, unobs_at):
-                at[v] = a
-            score = 0
-            for v, w in edges:
-                score |= 1 << (top - n * at[v] - at[w])
-            if best is None or score < best:
-                best = score
-    return (2 << n | k) << (n * n) | best
+    for i, v in enumerate(order):
+        at[v] = i
+    head = (2 << n | k) << (n * n)
+    slots = [n * at[v] + at[w] for v in range(n) for w in _bits(child_mask[v])]
+    if not slots:
+        return head
+    # With no observed node, as with no latent one, every relabelling
+    # keeps the observed nodes first: both use the table of all n!.
+    rows = _table((n, k or n), _relabellings)
+    if len(slots) == 1:
+        return head | min(map(itemgetter(slots[0]), rows))
+    return head | min(map(sum, map(itemgetter(*slots), rows)))
+
+
+def _reversals(n: int) -> tuple[int, ...]:
+    """Entry m is the n-bit field m with its bits in reverse order."""
+    return tuple([int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)])
 
 
 def _masks_of_code(n: int, code: int) -> tuple[list[int], list[int]]:
     """(kinds, child masks) of the canonical form of the n-node class
-    whose key is ``code``: its observed nodes first."""
+    whose key is ``code``: its observed nodes first.  Row i of the
+    adjacency bits is the n-bit field at bit n*(n-1-i), edge i -> j at
+    its bit n-1-j, so reversing the field gives i's child mask."""
     k = (code >> (n * n)) ^ (2 << n)
-    top = n * n - 1
-    child_mask = [
-        sum(1 << j for j in range(n) if (code >> (top - n * i - j)) & 1)
-        for i in range(n)
-    ]
+    field = (1 << n) - 1
+    reverse = _table((n,), _reversals)
+    child_mask = [reverse[(code >> (n * (n - 1 - i))) & field] for i in range(n)]
     return [0] * k + [1] * (n - k), child_mask
 
 
@@ -270,12 +309,14 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     ``_scan_rank``, which keeps them in the order of the labelled scan.
     Sorting after the search gives the order sorting before it would,
     since the search answers each failure alone (``cond`` only memoises
-    the condition).
+    the condition).  Failures are held as keys, not graphs, and each
+    graph is rebuilt for its search: a GDag takes about 1.2 KB, and n = 6
+    has 10,181 failures.
     """
     cond: dict[int, bool] = {}
     total = 0
     holds = 0
-    failures: list[tuple[int, GDag]] = []
+    failures: list[int] = []
     for i, (key, g) in enumerate(_enumerate_classes(n)):
         if progress and i and i % 2000 == 0:
             print(f"  examined {i} classes", file=sys.stderr)
@@ -283,9 +324,11 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
         if _holds(cond, key, g):
             holds += 1
         else:
-            failures.append((key, g))
-    survivors = sorted(
-        (g for key, g in failures if not _reducible_to_smaller_failure(key, g, cond)),
-        key=_scan_rank,
-    )
+            failures.append(key)
+    survivors = []
+    for key in failures:
+        g = _graph_of_key(n, key)
+        if not _reducible_to_smaller_failure(key, g, cond):
+            survivors.append(g)
+    survivors.sort(key=_scan_rank)
     return CensusReport(n, total, holds, tuple(survivors))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gdag_lab import enumeration
 from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
 from gdag_lab.enumeration import (
+    CENSUS_MAX_N,
     CensusReport,
     _class_codes,
     _code_of_masks,
@@ -134,16 +135,16 @@ def test_census_survivors_in_scan_order(n, monkeypatch):
 
 
 @st.composite
-def _gdag_and_relabelling(draw):
-    n = draw(st.integers(0, 6))
+def _gdag_and_relabelling(draw, sizes=st.integers(0, 6)):
+    n = draw(sizes)
     kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     pairs = list(combinations(range(n), 2))
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    names = "ABCDEF"[:n]
+    names = "ABCDEFG"[:n]
     edges = [(names[i], names[j]) for (i, j), f in zip(pairs, flags) if f]
     g = GDag([(names[i], _kind(kinds[i])) for i in range(n)], edges)
     order = draw(st.permutations(range(n)))
-    rename = {names[old]: "uvwxyz"[new] for new, old in enumerate(order)}
+    rename = {names[old]: "tuvwxyz"[new] for new, old in enumerate(order)}
     h = GDag(
         [(rename[names[old]], _kind(kinds[old])) for old in order],
         [(rename[a], rename[b]) for a, b in edges],
@@ -159,6 +160,46 @@ def test_canonical_key_matches_oracle_random(pair):
     assert canonical_key(g) == expected
     assert canonical_key_oracle(h) == expected
     assert canonical_key(h) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_gdag_and_relabelling(st.just(CENSUS_MAX_N + 1)))
+def test_canonical_key_matches_oracle_above_cached_sizes(pair):
+    """Seven nodes, above every size whose relabelling table is kept:
+    the table built for the one call gives the brute-force key."""
+    g, h = pair
+    expected = canonical_key_oracle(g)
+    assert canonical_key(g) == expected
+    assert canonical_key(h) == expected
+
+
+def test_tables_above_census_sizes_are_not_kept():
+    """Tables for census sizes are kept after a key; the 7-node tables
+    of a key and a canonical form are not."""
+    canonical_form(bell_gdag())
+    assert {(5, 4), (5,)} <= set(enumeration._TABLES)
+    g = GDag([(name, OBS) for name in "ABCDEFG"], [("A", "B"), ("C", "G")])
+    assert canonical_key(g) == canonical_key_oracle(g)
+    assert canonical_key(canonical_form(g)) == canonical_key(g)
+    assert all(key[0] <= CENSUS_MAX_N for key in enumeration._TABLES)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_key_decoder_round_trips(n):
+    """Every n-node class key decodes to masks that key back to it, and
+    the decoder's field reversal agrees with reading the key bit by bit
+    (edge i -> j at bit n*n - 1 - (n*i + j))."""
+    top = n * n - 1
+    for key in _class_codes(n):
+        kinds, child_mask = _masks_of_code(n, key)
+        assert _code_of_masks(kinds, child_mask) == key
+        assert child_mask == [
+            sum(1 << j for j in range(n) if (key >> (top - n * i - j)) & 1)
+            for i in range(n)
+        ]
+        k = kinds.count(0)
+        assert kinds == [0] * k + [1] * (n - k)
+        assert key >> (n * n) == 2 << n | k
 
 
 def test_isomorphic_basics():
@@ -271,9 +312,10 @@ def test_census_csv_row():
 
 @pytest.mark.long_run
 def test_census_n6(monkeypatch):
-    """The six-node census (minutes): its row, the class count by number
-    of latent nodes, and the survivors in scan order.  The latent counts
-    are read from the classes the census itself enumerates."""
+    """The six-node census (over a minute; see the README for measured
+    times): its row, the class count by number of latent nodes, and the
+    survivors in scan order.  The latent counts are read from the
+    classes the census itself enumerates."""
     latent = Counter()
     enumerate_classes = enumeration._enumerate_classes
 
