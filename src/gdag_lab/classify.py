@@ -168,17 +168,18 @@ class Certificate:
 # -- the certificate search over orderings and root assignments ---------
 
 
-def _closure(g: GDag) -> tuple[list[int], list[Transformation]]:
-    """Maximal application of the unobserved-path edge addition: closed
-    parent masks and the added steps.  One pass suffices, as an added
-    a -> b changes no node's reach through unobserved nodes."""
+def _closure(g: GDag, steps: Optional[list[Transformation]] = None) -> list[int]:
+    """Maximal application of the unobserved-path edge addition: the
+    closed parent masks, with the added steps appended to ``steps`` when
+    it is given.  One pass suffices, as an added a -> b changes no
+    node's reach through unobserved nodes."""
     par = list(g.parent_mask)
-    steps: list[Transformation] = []
     for a in range(len(g.names)):
         for b in _bits(_unobs_reachable(g, a) & ~g.child_mask[a]):
             par[b] |= 1 << a
-            steps.append(AddEdgeUnobservedPath(g.names[a], g.names[b]))
-    return par, steps
+            if steps is not None:
+                steps.append(AddEdgeUnobservedPath(g.names[a], g.names[b]))
+    return par
 
 
 def _place(
@@ -303,18 +304,21 @@ def _first_win(
     return None
 
 
-def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
-    """Return a certificate for the C = I condition, or None.
+def _winning_branch(g) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first winning branch (ordering, roots) of the loop over every
+    ordering of the tricky nodes and then every root assignment, or None
+    when the condition is not established.
 
-    The certificate is the first winning branch of the loop over every
-    ordering of the tricky nodes and then every root assignment.  One
-    depth-first search over ordering prefixes finds it: each prefix
+    One depth-first search over ordering prefixes finds it: each prefix
     carries the distinct placement states it reaches, so branches that
     meet in a state are followed once, and a state whose subtree has no
     winner is never expanded again.  Final graphs are tested on parent
-    masks, and no graph is built.
+    masks, and no graph is built.  ``g`` is read only through its node
+    count (``len(g.names)``), ``all_mask``, ``observed_mask``,
+    ``parent_mask``, ``child_mask`` and ``anc_mask``, so the census
+    passes the masks it decodes from a class key instead of a GDag.
     """
-    par, step1 = _closure(g)
+    par = _closure(g)
     unobs = g.all_mask & ~g.observed_mask
     tricky = [
         i
@@ -330,10 +334,21 @@ def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
 
     left = sum(1 << t for t in tricky)
     # The start state is never looked up, so any key serves.
-    win = _first_win(g, (), left, {-1: (par, ())}, tricky, candidates, set(), {})
+    return _first_win(g, (), left, {-1: (par, ())}, tricky, candidates, set(), {})
+
+
+def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
+    """Return a certificate for the C = I condition, or None.
+
+    The certificate is the first winning branch (see ``_winning_branch``)
+    written out as steps: the closure's edge additions, then the branch
+    simulated on the closed parent masks.
+    """
+    win = _winning_branch(g)
     if win is None:
         return None
-    steps = list(step1)
+    steps: list[Transformation] = []
+    par = _closure(g, steps)
     _simulate_branch(g, par, *win, steps)
     return Certificate(g, tuple(steps))
 

@@ -9,9 +9,11 @@ order, not in the order of a scan over labelled graphs.  A canonical key
 is one int that also encodes the node count (see ``_code_of_masks``), so
 keys of graphs of different sizes never collide.
 
-The census evaluates the C = I sufficient condition on every isomorphism
-class.  Survivors are the condition-failing graphs from which no strictly
-smaller condition-failing graph can be reached by reduction rules; the
+The census decides the C = I sufficient condition for every isomorphism
+class on the masks decoded from its key, with no graph and no
+certificate built for a class that passes.  Survivors are the
+condition-failing graphs from which no strictly smaller
+condition-failing graph can be reached by reduction rules; the
 one-outcome observed-node removal rule participates in that search
 because restricting any observed variable to a single outcome never
 enlarges the classical set.  Survivors are listed in the order their
@@ -26,10 +28,13 @@ from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .graph import GDag, NodeKind, _bits
-from .classify import applicable_reductions, apply_reduction, sufficient_condition_holds
+from .graph import GDag, NodeKind, _bits, _masks_of_children
+from .classify import _winning_branch, applicable_reductions, apply_reduction
+# perfbench/spans.py wraps enumeration.sufficient_condition_holds by
+# name; the census itself asks only ``_winning_branch``.
+from .classify import sufficient_condition_holds  # noqa: F401
 
-#: The largest census that finishes: n = 6 takes over a minute, while
+#: The largest census that finishes: n = 6 takes most of a minute, while
 #: n = 7 would key about 46M sink extensions of up to 7! relabellings
 #: each.  Key tables (see ``_TABLES``) are kept up to this size.
 CENSUS_MAX_N = 6
@@ -191,10 +196,33 @@ def _class_codes(n: int) -> Iterator[int]:
                 yield code
 
 
-def _enumerate_classes(n: int) -> Iterator[tuple[int, GDag]]:
-    """(canonical key, canonical form) of every n-node isomorphism class,
-    built by sink extension from the (n-1)-node classes (see
-    ``_class_codes``).  A GDag is built only for each class yielded.
+class _ClassMasks:
+    """The masks of a class's canonical form that ``_winning_branch``
+    reads, decoded from its key: node count (as ``names``), all and
+    observed masks, and each node's parents, children and inclusive
+    ancestors.  Each equals the same attribute of the GDag that
+    ``_graph_of_key`` builds, at a fraction of its cost."""
+
+    __slots__ = (
+        "names", "all_mask", "observed_mask", "parent_mask", "child_mask", "anc_mask",
+    )
+
+    def __init__(self, n: int, key: int):
+        kinds, child_mask = _masks_of_code(n, key)
+        self.names = tuple(_NAMES[:n])
+        self.all_mask = (1 << n) - 1
+        # The canonical form numbers its observed nodes first.
+        self.observed_mask = (1 << kinds.count(0)) - 1
+        self.child_mask = tuple(child_mask)
+        self.parent_mask, _, self.anc_mask = _masks_of_children(child_mask)
+
+
+def _enumerate_classes(n: int) -> Iterator[tuple[int, _ClassMasks]]:
+    """(canonical key, masks of the canonical form) of every n-node
+    isomorphism class, built by sink extension from the (n-1)-node
+    classes (see ``_class_codes``).  No GDag is built: the census
+    decides each class on its masks and rebuilds a graph by key only
+    for the classes that fail.
 
     The classes do not come in the order of a scan over labelled
     graphs; ``classification_census`` restores that order for its
@@ -203,14 +231,16 @@ def _enumerate_classes(n: int) -> Iterator[tuple[int, GDag]]:
     if n < 1:
         raise ValueError("n must be positive")
     for key in _class_codes(n):
-        yield key, _graph_of_key(n, key)
+        yield key, _ClassMasks(n, key)
 
 
 def enumerate_gdags(n: int) -> Iterator[GDag]:
     """All GDAGs on n nodes, one per kind-preserving isomorphism class,
     in sink-extension order (see ``_class_codes``)."""
-    for _, g in _enumerate_classes(n):
-        yield g
+    if n < 1:
+        raise ValueError("n must be positive")
+    for key in _class_codes(n):
+        yield _graph_of_key(n, key)
 
 
 def _scan_rank(g: GDag) -> tuple[int, int]:
@@ -234,12 +264,12 @@ def _scan_rank(g: GDag) -> tuple[int, int]:
     )
 
 
-def _holds(cond: dict[int, bool], key: int, g: GDag) -> bool:
+def _holds(cond: dict[int, bool], key: int, g: GDag | _ClassMasks) -> bool:
     """Does the sufficient condition hold for g, whose canonical key is
-    key?  Answers are memoised in ``cond``."""
+    key?  Answers are memoised in ``cond``; no certificate is built."""
     v = cond.get(key)
     if v is None:
-        v = cond[key] = sufficient_condition_holds(g) is not None
+        v = cond[key] = _winning_branch(g) is not None
     return v
 
 
@@ -309,19 +339,23 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     ``_scan_rank``, which keeps them in the order of the labelled scan.
     Sorting after the search gives the order sorting before it would,
     since the search answers each failure alone (``cond`` only memoises
-    the condition).  Failures are held as keys, not graphs, and each
-    graph is rebuilt for its search: a GDag takes about 1.2 KB, and n = 6
-    has 10,181 failures.
+    the condition).
+
+    Each class is decided on the masks decoded from its key (see
+    ``_ClassMasks``), asking only whether a winning branch exists, so a
+    class that passes costs no GDag and no certificate.  Failures are
+    held as keys, not graphs, and each graph is rebuilt for its search:
+    a GDag takes about 1.2 KB, and n = 6 has 10,181 failures.
     """
     cond: dict[int, bool] = {}
     total = 0
     holds = 0
     failures: list[int] = []
-    for i, (key, g) in enumerate(_enumerate_classes(n)):
+    for i, (key, masks) in enumerate(_enumerate_classes(n)):
         if progress and i and i % 2000 == 0:
             print(f"  examined {i} classes", file=sys.stderr)
         total += 1
-        if _holds(cond, key, g):
+        if _holds(cond, key, masks):
             holds += 1
         else:
             failures.append(key)

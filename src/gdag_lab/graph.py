@@ -35,15 +35,47 @@ def _ready_order(
 ) -> Iterator[int]:
     """The nodes of the mask ``todo`` in topological order, lowest ready
     index first: a node is ready once none of its parents
-    (``parent_mask[i]``) is left in todo."""
+    (``parent_mask[i]``) is left in todo.  The scan over todo is
+    ``_bits`` written out: a generator per step cost more than twice as
+    much over the n = 5 classes."""
     while todo:
-        for i in _bits(todo):
+        m = todo
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
             if not parent_mask[i] & todo:
                 break
+            m ^= low
         else:
             raise GraphError("cycle detected")
-        todo ^= 1 << i
+        todo ^= low
         yield i
+
+
+def _masks_of_children(
+    child_mask: Sequence[int],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(parent masks, topological order, ancestor masks) of the graph
+    whose node v has the children ``child_mask[v]``; GraphError on a
+    cycle.  The order is ``_ready_order``'s, and node i's ancestor mask
+    includes i."""
+    n = len(child_mask)
+    parent_mask = [0] * n
+    for v, c in enumerate(child_mask):
+        bit = 1 << v
+        for w in _bits(c):
+            parent_mask[w] |= bit
+    # Tuples are built from lists: ``tuple(genexpr)`` starts at 10
+    # slots and resizes, so its tuples come from fresh memory yet die
+    # onto CPython's per-size free lists, which never shrink.
+    topo = tuple(list(_ready_order(parent_mask, (1 << n) - 1)))
+    anc = [0] * n
+    for i in topo:
+        m = 1 << i
+        for p in _bits(parent_mask[i]):
+            m |= anc[p]
+        anc[i] = m
+    return tuple(parent_mask), topo, tuple(anc)
 
 
 class GDag:
@@ -67,24 +99,21 @@ class GDag:
         nodes: Sequence[tuple[str, NodeKind]],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        # Tuples are built from lists: ``tuple(genexpr)`` starts at 10
-        # slots and resizes, so its tuples come from fresh memory yet die
-        # onto CPython's per-size free lists, which never shrink.
+        # Tuples are built from lists, as in ``_masks_of_children``.
         self.nodes: tuple[tuple[str, NodeKind], ...] = tuple(
-            [(str(n), NodeKind(k)) for n, k in nodes]
-        )
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            [(str(a), str(b)) for a, b in edges]
+            [(str(n), k if type(k) is NodeKind else NodeKind(k)) for n, k in nodes]
         )
         names = tuple([n for n, _ in self.nodes])
-        if len(set(names)) != len(names):
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
             raise GraphError("duplicate node id")
         for n in names:
-            if not n or any(c.isspace() for c in n):
+            # True exactly when n is empty or contains whitespace.
+            if n.split() != [n]:
                 raise GraphError(f"bad node id {n!r}")
         self.names = names
         self.kinds = tuple([k for _, k in self.nodes])
-        self.index = {n: i for i, n in enumerate(names)}
+        self.index = index
 
         n = len(names)
         self.all_mask = (1 << n) - 1
@@ -93,33 +122,23 @@ class GDag:
             if k is NodeKind.OBSERVED:
                 self.observed_mask |= 1 << i
 
-        parent_mask = [0] * n
         child_mask = [0] * n
-        seen = set()
-        for a, b in self.edges:
-            if a not in self.index or b not in self.index:
+        checked = []
+        for a, b in edges:
+            a, b = str(a), str(b)
+            ia, ib = index.get(a), index.get(b)
+            if ia is None or ib is None:
                 raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
-            if a == b:
+            if ia == ib:
                 raise GraphError(f"self-loop on {a!r}")
-            if (a, b) in seen:
+            if (child_mask[ia] >> ib) & 1:
                 raise GraphError(f"duplicate edge ({a!r}, {b!r})")
-            seen.add((a, b))
-            ia, ib = self.index[a], self.index[b]
-            parent_mask[ib] |= 1 << ia
             child_mask[ia] |= 1 << ib
-        self.parent_mask = tuple(parent_mask)
+            checked.append((a, b))
+        self.edges: tuple[tuple[str, str], ...] = tuple(checked)
         self.child_mask = tuple(child_mask)
+        self.parent_mask, self._topo, self.anc_mask = _masks_of_children(child_mask)
 
-        # built from a list, as above
-        self._topo = tuple(list(_ready_order(self.parent_mask, self.all_mask)))
-
-        anc = [0] * n
-        for i in self._topo:
-            m = 1 << i
-            for p in _bits(parent_mask[i]):
-                m |= anc[p]
-            anc[i] = m
-        self.anc_mask = tuple(anc)
         desc = [0] * n
         for i in reversed(self._topo):
             m = 1 << i

@@ -30,6 +30,7 @@ from gdag_lab.classify import (
     RemoveIsolatedUnobserved,
     TransformError,
     _closure,
+    _winning_branch,
     apply_reduction,
     apply_transformation,
     applicable_reductions,
@@ -189,7 +190,8 @@ def test_search_applies_no_transformation(g, monkeypatch):
 @given(st.integers(0, 10 ** 9), st.sampled_from([0.35, 0.6]))
 def test_closure_matches_fixpoint_oracle(seed, p_unobserved):
     g = random_gdag(Random(seed), max_nodes=7, p_unobserved=p_unobserved)
-    par, steps = _closure(g)
+    steps = []
+    par = _closure(g, steps)
     closed, oracle_steps = closure_oracle(g)
     assert steps == oracle_steps
     assert tuple(par) == closed.parent_mask
@@ -226,6 +228,39 @@ def test_search_matches_exhaustive_oracle(seed, p_unobserved):
     assert (cert is None) == (expect is None)
     if cert is not None:
         assert cert.to_json() == expect.to_json()
+
+
+@st.composite
+def _latent_gdags(draw):
+    """GDAGs on 2 to 6 nodes with at least one latent and one observed
+    node, every edge forward in declaration order."""
+    n = draw(st.integers(2, 6))
+    latent = draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(
+            lambda ks: any(ks) and not all(ks)
+        )
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    names = "ABCDEF"[:n]
+    return GDag(
+        [(names[i], UNOBS if latent[i] else OBS) for i in range(n)],
+        [(names[i], names[j]) for (i, j), f in zip(pairs, flags) if f],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_latent_gdags())
+def test_decision_matches_exhaustive_oracle(g):
+    """The decision the census asks finds a winning branch exactly when
+    the exhaustive loop does, and every certificate written from one
+    verifies."""
+    found = _winning_branch(g) is not None
+    assert found == (search_oracle(g) is not None)
+    cert = sufficient_condition_holds(g)
+    assert found == (cert is not None)
+    if cert is not None:
+        assert cert.verify()
 
 
 @pytest.mark.parametrize("links", [False, True], ids=["chain", "linked"])

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from gdag_lab import enumeration
 from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
+from gdag_lab.classify import sufficient_condition_holds
 from gdag_lab.enumeration import (
     CENSUS_MAX_N,
     CensusReport,
+    _ClassMasks,
     _class_codes,
     _code_of_masks,
     _enumerate_classes,
@@ -89,8 +91,8 @@ def test_canonical_key_matches_oracle_on_labelled_scan(n):
     classes = list(_enumerate_classes(n))
     assert len(classes) == len(first_seen)
     assert {key for key, _ in classes} == set(first_seen)
-    ranked = sorted(classes, key=lambda kg: _scan_rank(kg[1]))
-    assert [key for key, _ in ranked] == list(first_seen)
+    ranked = sorted(enumerate_gdags(n), key=_scan_rank)
+    assert [canonical_key(g) for g in ranked] == list(first_seen)
 
 
 def test_sink_extension_keys_match_oracle_at_n6():
@@ -132,6 +134,36 @@ def test_census_survivors_in_scan_order(n, monkeypatch):
     classes = list(_enumerate_classes(n))
     monkeypatch.setattr(enumeration, "_enumerate_classes", lambda n: reversed(classes))
     assert classification_census(n).survivors == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_masks_decide_as_graphs(n):
+    """Every n-node class: the masks the census decides on equal the
+    same attributes of the GDag of its key, and the census's answer on
+    them is whether ``sufficient_condition_holds`` finds a certificate
+    for that GDag."""
+    for key, masks in _enumerate_classes(n):
+        g = _graph_of_key(n, key)
+        for attr in _ClassMasks.__slots__:
+            assert getattr(masks, attr) == getattr(g, attr), attr
+        assert _holds({}, key, masks) == (sufficient_condition_holds(g) is not None)
+
+
+def test_census_builds_a_graph_only_where_one_is_kept(monkeypatch):
+    """Passing classes are decided on their key's masks: an n = 5 census
+    builds GDags only for its 96 failures and their survivor searches
+    (443 in all, against 9,071 if every class got one)."""
+    built = 0
+    init = GDag.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GDag, "__init__", counted)
+    assert classification_census(5).csv_row() == "5,8628,8532,2"
+    assert built < 1000
 
 
 @st.composite
