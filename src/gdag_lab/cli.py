@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .graph import GDag, GraphError, parse_gdag
 from .dsep import (
+    CISet,
     CIStatement,
     d_separated,
     d_separated_via_partition,
@@ -63,7 +64,7 @@ def _read_dist(path: str) -> Distribution | ConditionalDistribution:
     text = _read_json(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise CliError(f"bad distribution: {e}") from None
     if isinstance(obj, dict) and obj.get("given"):
         return ConditionalDistribution.from_json(text)
@@ -174,10 +175,7 @@ def _cmd_check_dist(args) -> int:
     else:
         report = satisfies_I(g, dist)
         out["satisfies_I"] = report.holds
-        out["violated"] = [
-            {"x": sorted(s.x), "y": sorted(s.y), "z": sorted(s.z)}
-            for s in report.violated
-        ]
+        out["violated"] = json.loads(CISet(report.violated).to_json())
         if not report.holds:
             code = 1
         # The triangle verdict holds only for the triangle itself.  Its 6

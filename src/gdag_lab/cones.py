@@ -20,8 +20,11 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 from .graph import GDag, _bits
 from .dsep import observable_ci_set
 from .linprog import nonneg_combination
+from .models import _parse_frac
 
 MAX_CONE_NODES = 6
+# rows are dense over the 2^n - 1 subsets of n variables
+_MAX_VARIABLES = 8
 
 
 class _Routing(NamedTuple):
@@ -148,18 +151,21 @@ class Cone:
         try:
             obj = json.loads(text)
             cone = Cone(tuple(obj["variables"]), ())
-            rows = tuple(
-                cone.row_of(LinIneq({
-                    frozenset(key.split(",")): Fraction(val)
+            if len(cone.variables) > _MAX_VARIABLES:
+                raise ConeError("too many variables")
+            index = {v: i for i, v in enumerate(cone.variables)}
+            rows = []
+            for item in obj["ineqs"]:
+                coeffs = {
+                    frozenset(key.split(",")): _parse_frac(val)
                     for key, val in item["coeffs"].items()
-                }))
-                for item in obj["ineqs"]
-            )
-        except (
-            json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError
-        ) as e:
+                }
+                # every name is known, also one whose coefficient is 0
+                _mask(index, frozenset().union(*coeffs))
+                rows.append(cone.row_of(LinIneq(coeffs)))
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as e:
             raise ConeError(f"bad cone JSON: {e}") from None
-        return Cone(cone.variables, rows)
+        return Cone(cone.variables, tuple(rows))
 
 
 def _dedupe(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -177,34 +183,17 @@ def elemental_inequalities(variables: Sequence[str]) -> Cone:
     n = len(variables)
     if n < 1:
         raise ConeError("need at least one variable")
-    if n > 8:
+    if n > _MAX_VARIABLES:
         raise ConeError("too many variables")
-    size = (1 << n) - 1
-    rows: list[tuple[int, ...]] = []
-
-    def row(*terms: tuple[int, int]) -> tuple[int, ...]:
-        r = [0] * size
-        for mask, c in terms:
-            if mask:
-                r[mask - 1] += c
-        return tuple(r)
-
-    full = size
-    for i in range(n):
-        rows.append(row((full, 1), (full & ~(1 << i), -1)))
+    size = full = (1 << n) - 1
+    # H(i | rest) = I(i ; i | rest), then I(i ; j | K) for every K
+    rows = [_cmi_row(size, 1 << i, 1 << i, full & ~(1 << i), 1) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rest = full & ~(1 << i) & ~(1 << j)
             k = rest
             while True:
-                rows.append(
-                    row(
-                        ((1 << i) | k, 1),
-                        ((1 << j) | k, 1),
-                        ((1 << i) | (1 << j) | k, -1),
-                        (k, -1),
-                    )
-                )
+                rows.append(_cmi_row(size, 1 << i, 1 << j, k, 1))
                 if k == 0:
                     break
                 k = (k - 1) & rest
@@ -242,16 +231,10 @@ def markov_constraint_rows(g: GDag) -> list[LinIneq]:
     return list(Cone(g.names, tuple(_markov_rows(g))).ineqs())
 
 
-def _active_coords(
-    rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
-) -> list[int]:
-    return [k for k, col in enumerate(zip(target, *rows)) if any(col)]
-
-
 def _exact_implies(
     rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> bool:
-    coords = _active_coords(rows, target)
+    coords = [k for k, col in enumerate(zip(target, *rows)) if any(col)]
     lam = nonneg_combination(
         [target[k] for k in coords], [[r[k] for k in coords] for r in rows]
     )
@@ -435,27 +418,24 @@ def _rows_implies(
     A float LP, when SciPy is installed, only proposes a certificate:
     "implied" needs multipliers that combine to target in integers, or
     an exact solve on the proposed support; "not implied" an exact
-    integer Farkas check.  Without SciPy, or when the proposal does not
-    verify, the exact simplex decides.
+    integer Farkas check.  The LP is a ``_FloatRows`` model with target
+    as its last row, freed.  Without SciPy, or when the proposal does
+    not verify, the exact simplex decides.
     """
     if not rows or not any(target):
         return not any(target)
     np = _numpy()
     answer = None
     if np is not None:
-        coords = _active_coords(rows, target)
-        solved = _HighsLp(np, np.array(rows, dtype=float)[:, coords]).solve(
-            np.array(target, dtype=float)[coords]
-        )
-        if solved is not None:
-            answer = _confirm(rows, target, coords, *solved)
+        floats = _FloatRows(np, [*rows, target], None)
+        answer = floats.proposal(len(rows), [True] * len(rows) + [False], rows)
     return _exact_implies(rows, target) if answer is None else answer
 
 
 class _FloatRows:
-    """The float side of one ``_minimize``: one HiGHS model of its sorted
-    rows on the coordinates they mention, and the pooled Farkas vectors
-    screened against them."""
+    """The float side of one ``_minimize`` or ``_rows_implies``: one
+    HiGHS model of its rows on the coordinates they mention, and the
+    pooled Farkas vectors screened against them."""
 
     def __init__(self, np, rows: list[tuple[int, ...]], pool) -> None:
         self.np = np

@@ -250,7 +250,7 @@ def parse_gdag(text: str) -> GDag:
     """Parse the JSON graph format; raises GraphError on invalid input."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise GraphError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise GraphError("expected object with 'nodes' and 'edges'")

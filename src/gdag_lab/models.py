@@ -55,12 +55,16 @@ def _sums_to_one(probs: Sequence) -> bool:
 
 
 def _parse_frac(s) -> Fraction:
-    if isinstance(s, str) or type(s) is int:
+    """An exact rational from a JSON string ("3/4", "0.25", "2") or a
+    non-bool JSON integer.  Floats, bools and exponent notation, which
+    ``Fraction`` would expand to a power of ten of any size, raise
+    ``ModelError``."""
+    if type(s) is int or (isinstance(s, str) and not ("e" in s or "E" in s)):
         try:
             return Fraction(s)
         except ZeroDivisionError:
-            raise ModelError(f"probability {s!r} has denominator 0") from None
-    raise ModelError(f"expected rational string, got {s!r}")
+            raise ModelError(f"rational {s!r} has denominator 0") from None
+    raise ModelError(f"expected a rational string without exponent, got {s!r}")
 
 
 def _parse_vars(entries) -> tuple[tuple[str, int], ...]:
@@ -174,7 +178,7 @@ class Distribution:
             obj = json.loads(text)
             variables = _parse_vars(obj["variables"])
             probs = tuple(_parse_frac(p) for p in obj["probs"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise ModelError(f"bad distribution JSON: {e}") from None
         return Distribution(variables, probs)
 
@@ -225,7 +229,7 @@ class ConditionalDistribution:
             variables = _parse_vars(obj["variables"])
             given = _parse_vars(obj.get("given", []))
             probs = tuple(_parse_frac(p) for p in obj["probs"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise ModelError(f"bad conditional distribution JSON: {e}") from None
         return ConditionalDistribution(variables, given, probs)
 

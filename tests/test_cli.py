@@ -231,12 +231,19 @@ def _chain_point(cards, probs) -> str:
             "variables": [{"id": "A", "card": 2}, {"id": "B", "card": 2}],
             "given": [{"id": "Y", "card": 0}], "probs": [],
         })),
+        (["check-dist", "CHAIN"], "[" * 100_000),
+        (["ineq", "triangle"], "[" * 100_000),
+        (["check-dist", "CHAIN"], '{"probs": [' + "1" * 5000 + "]}"),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2), ["1e999999999"] + ["0"] * 7)),
+        (["ineq", "triangle"], THREE_VARS.replace('"1/8"', '"1.25E-1"', 1)),
     ],
     ids=[
         "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
         "check-dist-1-var", "list-id", "object-given-id", "float-card",
         "string-card", "bool-card", "bool-probs", "bool-given-card",
         "zero-denominator", "instrumental-zero-denominator", "zero-given-card",
+        "deep-nesting", "ineq-deep-nesting", "huge-int", "exponent",
+        "ineq-exponent",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
@@ -407,8 +414,10 @@ def test_reduce_stdout_pinned(tmp_path, capsys, name, g):
         '{"nodes": [{"id": "A", "kind": "observed"}, {"id": "B", "kind": "observed"}], '
         '"edges": ["AB"]}',
         '{"nodes": [{"id": null, "kind": "observed"}], "edges": []}',
+        "[" * 100_000,
+        '{"nodes": [], "edges": [], "n": ' + "1" * 5000 + "}",
     ],
-    ids=["string-edge", "null-id"],
+    ids=["string-edge", "null-id", "deep-nesting", "huge-int"],
 )
 def test_malformed_graph_exits_2(tmp_path, capsys, graph_text):
     gp = tmp_path / "g.json"

@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from hashlib import sha256
@@ -96,8 +97,21 @@ def test_cone_json_round_trip():
         '{"variables": ["A"], "ineqs": [{"coeffs": {"A": "1/0"}}]}',
         '{"variables": ["A", "A"], "ineqs": [{"coeffs": {"A": "1/1"}}]}',
         '{"variables": ["A"], "ineqs": [{"coeffs": {"B": "1/1"}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": []}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": "1/1", "B": "0"}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": 1e999}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": "1e999"}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": true}}]}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": 0.1}}]}',
+        "[" * 100_000,
+        '{"variables": ' + json.dumps([f"V{i}" for i in range(40)])
+        + ', "ineqs": [{"coeffs": {"V0": "1"}}]}',
     ],
-    ids=["zero-denominator", "repeated-variable", "unknown-variable"],
+    ids=[
+        "zero-denominator", "repeated-variable", "unknown-variable",
+        "list-coeffs", "unknown-variable-zero-coefficient", "float-overflow",
+        "exponent", "bool", "float", "deep-nesting", "too-many-variables",
+    ],
 )
 def test_cone_from_json_bad_input(text):
     with pytest.raises(ConeError):
