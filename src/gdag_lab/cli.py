@@ -66,7 +66,8 @@ def _read_dist(path: str) -> Distribution | ConditionalDistribution:
         obj = json.loads(text)
     except (ValueError, RecursionError) as e:
         raise CliError(f"bad distribution: {e}") from None
-    if isinstance(obj, dict) and obj.get("given"):
+    # a "given" that is not an empty array is read, and checked, as a family
+    if isinstance(obj, dict) and obj.get("given", []) != []:
         return ConditionalDistribution.from_json(text)
     return Distribution.from_json(text)
 

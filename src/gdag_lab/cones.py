@@ -150,6 +150,8 @@ class Cone:
     def from_json(text: str) -> "Cone":
         try:
             obj = json.loads(text)
+            if type(obj["variables"]) is not list or type(obj["ineqs"]) is not list:
+                raise ConeError("expected arrays for 'variables' and 'ineqs'")
             cone = Cone(tuple(obj["variables"]), ())
             if len(cone.variables) > _MAX_VARIABLES:
                 raise ConeError("too many variables")

@@ -254,9 +254,11 @@ def parse_gdag(text: str) -> GDag:
         raise GraphError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise GraphError("expected object with 'nodes' and 'edges'")
+    edges = obj["edges"]
+    if type(obj["nodes"]) is not list or type(edges) is not list:
+        raise GraphError("expected arrays for 'nodes' and 'edges'")
     try:
         nodes = [(d["id"], NodeKind(d["kind"])) for d in obj["nodes"]]
-        edges = list(obj["edges"])
     except (TypeError, KeyError, ValueError) as e:
         raise GraphError(f"malformed node or edge entry: {e}") from None
     for n, _ in nodes:

@@ -2,13 +2,27 @@
 
 No floating point anywhere: inputs are ints or ``Fraction`` and the
 returned witness is ``Fraction``.  The tableau is pivoted in integers
-(Bareiss' fraction-free elimination): the system is scaled by one
-common denominator, every entry is held as an integer over the current
-basis determinant, and each pivot divides exactly by the previous one.
-The pivots are those of a rational tableau under Bland's rule, so the
-returned vertex is too.  Only feasibility is needed by the rest of the
-project (Farkas implication checks and the triangle marginal problem),
-so no objective interface is exposed.
+(Bareiss' fraction-free elimination): every entry is held as an integer
+over the current basis determinant, and each pivot divides exactly by
+the previous one.
+
+To make the system integer, each structural column j of A is scaled by
+d_j, the lcm of that column's own denominators, and b by s, the lcm of
+b's; phase 1 runs on A D y = s b with y >= 0, and x_j = d_j y_j / s.
+Scaling a column by d_j > 0 multiplies its reduced cost by d_j (the
+phase-1 duals are unchanged, since basic structural columns cost 0) and
+each of its ratios by s / d_j, so Bland's entering column, the leaving
+row and every tie are those of the unscaled rational tableau, and so
+is the returned vertex.  One common denominator for all of A and b
+would give the same pivots too, but it turns every 1 of a 0/1 marginal
+matrix into that denominator, and the basis determinant grows by that
+factor with each structural pivot; per-column scaling keeps such a
+matrix 0/1 and only the rhs holds large numbers.  Rows are not scaled,
+since that would change the phase-1 objective.
+
+Only feasibility is needed by the rest of the project (Farkas
+implication checks and the triangle marginal problem), so no objective
+interface is exposed.
 """
 
 from __future__ import annotations
@@ -25,18 +39,23 @@ def _phase1(
     """Find x >= 0 with A x = b, or None.  ``rows`` is A (dense)."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    scale = lcm(*(v.denominator for r in (*rows, rhs) for v in r))
+    # structural column j is scaled by d[j] and the rhs by s, each the
+    # lcm of its own denominators (see the module docstring)
+    d = [1] * n
+    for r in rows:
+        d = [lcm(dj, v.denominator) for dj, v in zip(d, r)]
+    s = lcm(*[v.denominator for v in rhs])
 
     # tableau columns: n structural + m artificial + rhs; each row is
-    # scaled by `scale` and negated where b < 0, artificials stay unit
+    # negated where b < 0, artificials stay unit
     width = n + m
     T = []
     for i, (r, b) in enumerate(zip(rows, rhs)):
-        s = -scale if b < 0 else scale
-        row = [v.numerator * s // v.denominator for v in r]
+        sign = -1 if b < 0 else 1
+        row = [sign * v.numerator * dj // v.denominator for v, dj in zip(r, d)]
         row += [0] * m
         row[n + i] = 1
-        row.append(b.numerator * s // b.denominator)
+        row.append(sign * b.numerator * s // b.denominator)
         T.append(row)
     basis = [n + i for i in range(m)]
 
@@ -90,7 +109,7 @@ def _phase1(
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(T[i][width], det)
+            x[j] = Fraction(T[i][width] * d[j], det * s)
     return x
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -54,17 +55,31 @@ def _sums_to_one(probs: Sequence) -> bool:
     return sum([q.numerator * (d // q.denominator) for q in probs]) == d
 
 
+# ASCII digits only: ``Fraction`` would also take "1_000", " 1/2 ",
+# "+3", non-ASCII digits and exponents of any size
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _parse_frac(s) -> Fraction:
-    """An exact rational from a JSON string ("3/4", "0.25", "2") or a
-    non-bool JSON integer.  Floats, bools and exponent notation, which
-    ``Fraction`` would expand to a power of ten of any size, raise
-    ``ModelError``."""
-    if type(s) is int or (isinstance(s, str) and not ("e" in s or "E" in s)):
+    """An exact rational from a JSON string of the form -?D, -?D/D or
+    -?D.D, D one or more ASCII digits ("3/4", "-0.25", "2"), or from a
+    non-bool JSON integer.  Anything else raises ``ModelError``."""
+    if type(s) is int or (isinstance(s, str) and _RATIONAL.fullmatch(s)):
         try:
             return Fraction(s)
         except ZeroDivisionError:
             raise ModelError(f"rational {s!r} has denominator 0") from None
-    raise ModelError(f"expected a rational string without exponent, got {s!r}")
+        except ValueError as e:  # more digits than int() converts
+            raise ModelError(f"bad rational: {e}") from None
+    raise ModelError(f"expected a rational string D, D/D or D.D, got {s!r}")
+
+
+def _array(obj, key: str) -> list:
+    """``obj[key]``, which must be a JSON array."""
+    value = obj[key]
+    if type(value) is not list:
+        raise ModelError(f"{key!r} is not an array")
+    return value
 
 
 def _parse_vars(entries) -> tuple[tuple[str, int], ...]:
@@ -176,8 +191,8 @@ class Distribution:
     def from_json(text: str) -> "Distribution":
         try:
             obj = json.loads(text)
-            variables = _parse_vars(obj["variables"])
-            probs = tuple(_parse_frac(p) for p in obj["probs"])
+            variables = _parse_vars(_array(obj, "variables"))
+            probs = tuple(_parse_frac(p) for p in _array(obj, "probs"))
         except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise ModelError(f"bad distribution JSON: {e}") from None
         return Distribution(variables, probs)
@@ -226,9 +241,9 @@ class ConditionalDistribution:
     def from_json(text: str) -> "ConditionalDistribution":
         try:
             obj = json.loads(text)
-            variables = _parse_vars(obj["variables"])
-            given = _parse_vars(obj.get("given", []))
-            probs = tuple(_parse_frac(p) for p in obj["probs"])
+            variables = _parse_vars(_array(obj, "variables"))
+            given = _parse_vars(_array(obj, "given") if "given" in obj else [])
+            probs = tuple(_parse_frac(p) for p in _array(obj, "probs"))
         except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise ModelError(f"bad conditional distribution JSON: {e}") from None
         return ConditionalDistribution(variables, given, probs)

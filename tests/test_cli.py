@@ -236,6 +236,11 @@ def _chain_point(cards, probs) -> str:
         (["check-dist", "CHAIN"], '{"probs": [' + "1" * 5000 + "]}"),
         (["check-dist", "CHAIN"], _chain_point((2, 2, 2), ["1e999999999"] + ["0"] * 7)),
         (["ineq", "triangle"], THREE_VARS.replace('"1/8"', '"1.25E-1"', 1)),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2), "10000000")),
+        (["check-dist", "CHAIN"], _chain_point((2, 2, 2), dict.fromkeys(
+            ["1", "0", "0/1", "0/2", "0/3", "0/4", "0/5", "0/6"], 0))),
+        (["ineq", "triangle"], THREE_VARS[:-1] + ', "given": ""}'),
+        (["ineq", "triangle"], THREE_VARS.replace('"1/8"', '"1_000/8000"', 1)),
     ],
     ids=[
         "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
@@ -243,7 +248,8 @@ def _chain_point(cards, probs) -> str:
         "string-card", "bool-card", "bool-probs", "bool-given-card",
         "zero-denominator", "instrumental-zero-denominator", "zero-given-card",
         "deep-nesting", "ineq-deep-nesting", "huge-int", "exponent",
-        "ineq-exponent",
+        "ineq-exponent", "string-probs", "object-probs", "string-given",
+        "underscore-digits",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
@@ -416,8 +422,10 @@ def test_reduce_stdout_pinned(tmp_path, capsys, name, g):
         '{"nodes": [{"id": null, "kind": "observed"}], "edges": []}',
         "[" * 100_000,
         '{"nodes": [], "edges": [], "n": ' + "1" * 5000 + "}",
+        '{"nodes": "", "edges": {}}',
+        '{"nodes": [{"id": "A", "kind": "observed"}], "edges": {}}',
     ],
-    ids=["string-edge", "null-id", "deep-nesting", "huge-int"],
+    ids=["string-edge", "null-id", "deep-nesting", "huge-int", "string-nodes", "object-edges"],
 )
 def test_malformed_graph_exits_2(tmp_path, capsys, graph_text):
     gp = tmp_path / "g.json"

@@ -106,11 +106,15 @@ def test_cone_json_round_trip():
         "[" * 100_000,
         '{"variables": ' + json.dumps([f"V{i}" for i in range(40)])
         + ', "ineqs": [{"coeffs": {"V0": "1"}}]}',
+        '{"variables": "AB", "ineqs": [{"coeffs": {"A": "1"}}]}',
+        '{"variables": ["A"], "ineqs": {}}',
+        '{"variables": ["A"], "ineqs": [{"coeffs": {"A": " 1/2 "}}]}',
     ],
     ids=[
         "zero-denominator", "repeated-variable", "unknown-variable",
         "list-coeffs", "unknown-variable-zero-coefficient", "float-overflow",
         "exponent", "bool", "float", "deep-nesting", "too-many-variables",
+        "string-variables", "object-ineqs", "padded-rational",
     ],
 )
 def test_cone_from_json_bad_input(text):

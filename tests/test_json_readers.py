@@ -1,5 +1,6 @@
 """Fuzzing of the four JSON readers: whatever the text, each returns its
-object or raises its own typed error, and does so within two seconds."""
+object or raises its own typed error, and does so within two seconds; a
+string, an object or a number where an array belongs is refused."""
 
 import json
 import time
@@ -52,8 +53,48 @@ def _shaped(fields):
     return st.fixed_dictionaries({}, optional={k: v | VALUES for k, v in fields.items()})
 
 
+# One valid document per reader, and the fields that must be JSON arrays.
+VALID = {
+    parse_gdag: (
+        {"nodes": [{"id": "A", "kind": "observed"}, {"id": "B", "kind": "observed"}],
+         "edges": [["A", "B"]]},
+        ("nodes", "edges"),
+    ),
+    Distribution.from_json: (
+        {"variables": [{"id": "A", "card": 2}], "probs": ["0", "1"]},
+        ("variables", "probs"),
+    ),
+    ConditionalDistribution.from_json: (
+        {"variables": [{"id": "A", "card": 2}], "given": [{"id": "Y", "card": 1}],
+         "probs": ["1/2", "1/2"]},
+        ("variables", "given", "probs"),
+    ),
+    Cone.from_json: (
+        {"variables": ["A", "B"], "ineqs": [{"coeffs": {"A": "1"}}]},
+        ("variables", "ineqs"),
+    ),
+}
+NOT_ARRAYS = (
+    st.text(max_size=6)
+    | st.sampled_from(["01", "10", "AB", "", "1/2"])
+    | st.dictionaries(NAMES | st.sampled_from(["0", "1", "1/2"]), LEAVES, max_size=3)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _not_array_field(draw, doc, fields):
+    """``doc`` with one of its array fields holding a string, an object
+    or a number."""
+    out = dict(doc)
+    out[draw(st.sampled_from(fields))] = draw(NOT_ARRAYS)
+    return out
+
+
 DOCUMENTS = st.one_of(
     VALUES,
+    *(_not_array_field(doc, fields) for doc, fields in VALID.values()),
     _shaped({
         "nodes": st.lists(st.fixed_dictionaries({"id": NAMES, "kind": NAMES}), max_size=4),
         "edges": st.lists(st.lists(NAMES, max_size=3), max_size=4),
@@ -91,3 +132,20 @@ def test_reader_raises_only_its_error(read, error, doc):
     except error:
         pass
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("read, error", READERS, ids=lambda r: getattr(r, "__qualname__", ""))
+def test_reader_accepts_valid_document(read, error):
+    doc, _ = VALID[read]
+    read(json.dumps(doc))
+
+
+@pytest.mark.parametrize("read, error", READERS, ids=lambda r: getattr(r, "__qualname__", ""))
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reader_requires_arrays(read, error, data):
+    """A valid document with a string, an object or a number in place of
+    one of its arrays is refused with the reader's own error."""
+    doc = data.draw(_not_array_field(*VALID[read]))
+    with pytest.raises(error):
+        read(json.dumps(doc))

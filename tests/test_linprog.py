@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -191,3 +192,115 @@ def test_phase1_matches_fraction_tableau(system):
     assert x == phase1_oracle(rows, rhs)
     if x is not None:
         assert all(type(v) is F for v in x)
+
+
+# Large primes: rhs denominators drawn from them share no factor with
+# each other or with the small column denominators.
+_PRIMES = (10007, 65537, 999983, 1000003, 2147483647)
+
+
+@st.composite
+def _column_scaled_systems(draw):
+    """A x = b whose column and rhs denominators are unrelated: rational
+    columns, each over its own denominators, with an integer rhs; or 0/1
+    columns with an rhs over large coprime denominators.  The rhs is
+    either A x0 for some x0 >= 0 or arbitrary."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    feasible = draw(st.booleans())
+    if draw(st.booleans()):
+        columns = [
+            draw(st.lists(
+                st.fractions(min_value=-4, max_value=4, max_denominator=draw(st.integers(1, 30))),
+                min_size=m, max_size=m,
+            ))
+            for _ in range(n)
+        ]
+        if feasible:
+            # x0_j a multiple of column j's common denominator: A x0 is integer
+            x0 = [
+                draw(st.integers(0, 3)) * lcm(*(v.denominator for v in col))
+                for col in columns
+            ]
+        else:
+            x0 = None
+            rhs = draw(st.lists(st.integers(-5, 5).map(F), min_size=m, max_size=m))
+    else:
+        columns = [draw(st.lists(st.sampled_from([F(0), F(1)]), min_size=m, max_size=m)) for _ in range(n)]
+        large = st.builds(
+            F, st.integers(0, 10 ** 6), st.sampled_from(_PRIMES)
+        )
+        if feasible:
+            x0 = draw(st.lists(st.one_of(st.just(F(0)), large), min_size=n, max_size=n))
+        else:
+            x0 = None
+            rhs = draw(st.lists(large, min_size=m, max_size=m))
+    rows = [[col[i] for col in columns] for i in range(m)]
+    if x0 is not None:
+        rhs = [sum((a * x for a, x in zip(r, x0)), F(0)) for r in rows]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_scaled_systems())
+def test_phase1_column_scaling_matches_oracle(system):
+    """Per-column and rhs scaling makes the unscaled tableau's pivots,
+    and the vertex returned solves A x = b, x >= 0 exactly."""
+    rows, rhs = system
+    x = _phase1(rows, rhs)
+    assert x == phase1_oracle(rows, rhs)
+    if x is not None:
+        assert all(type(v) is F and v >= 0 for v in x)
+        for r, b in zip(rows, rhs):
+            assert sum((a * v for a, v in zip(r, x)), F(0)) == b
+
+
+def _cut_lp(cards, p):
+    """The cut-inflation LP of ``inequalities.triangle_gpt_feasible`` for
+    a joint ``p`` over cells (a, b, c): q >= 0 with q's (a, b) and (b, c)
+    marginals those of p and its (a, c) marginal P(a) P(c), as a target
+    and one 0/1 column per cell."""
+    cells = list(product(*(range(k) for k in cards)))
+
+    def marginal(*axes):
+        out = dict.fromkeys(product(*(range(cards[a]) for a in axes)), F(0))
+        for cell in cells:
+            out[tuple(cell[a] for a in axes)] += p[cell]
+        return out
+
+    pa, pc = marginal(0), marginal(2)
+    blocks = (
+        ((0, 1), marginal(0, 1)),
+        ((1, 2), marginal(1, 2)),
+        ((0, 2), {(a, c): pa[a,] * pc[c,] for a, c in product(range(cards[0]), range(cards[2]))}),
+    )
+    target, keys = [], []
+    for axes, table in blocks:
+        for key in sorted(table):
+            target.append(table[key])
+            keys.append((axes, key))
+    columns = [
+        [int(tuple(cell[a] for a in axes) == key) for axes, key in keys]
+        for cell in cells
+    ]
+    return target, columns
+
+
+@pytest.mark.parametrize("cards", [(4, 4, 4), (5, 4, 5)], ids=str)
+def test_cut_lp_exact_point(cards):
+    """A seeded full-support joint with large denominators: the cut LP
+    has an exact nonnegative solution; perfect correlation has none."""
+    rng = Random(20)
+    cells = list(product(*(range(k) for k in cards)))
+    weights = [rng.randint(1, 10 ** 6) for _ in cells]
+    p = {cell: F(w, sum(weights)) for cell, w in zip(cells, weights)}
+    target, columns = _cut_lp(cards, p)
+    q = nonneg_combination(target, columns)
+    assert q is not None
+    assert all(type(v) is F and v >= 0 for v in q)
+    for k, t in enumerate(target):
+        assert sum(v for v, col in zip(q, columns) if col[k]) == t
+
+    k = min(cards)
+    ghz = {cell: F(int(cell[0] == cell[1] == cell[2]), k) for cell in cells}
+    assert nonneg_combination(*_cut_lp(cards, ghz)) is None

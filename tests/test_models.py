@@ -11,6 +11,7 @@ from gdag_lab.catalog import bell_gdag, chain, collider, one_sided_bell_gdag
 from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.models import (
     _numerators,
+    _parse_frac,
     ClassicalGmcModel,
     ConditionalDistribution,
     Distribution,
@@ -153,6 +154,28 @@ def test_inexact_entries_rejected(entry):
         Distribution((("A", 2),), (entry, other))
     with pytest.raises(ModelError, match="is not a Fraction or an int"):
         ConditionalDistribution((("A", 2),), (("Y", 1),), (entry, other))
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2", 2), ("-3/4", Fraction(-3, 4)), ("0.25", Fraction(1, 4)), ("-0.5", Fraction(-1, 2)),
+     ("2/1", 2), ("007", 7), (5, 5)],
+    ids=repr,
+)
+def test_parse_frac_accepts(text, value):
+    assert _parse_frac(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", " 1/2 ", "1/2\n", "+3", "\u0661", "1.5/2", "1/-2", ".5", "5.", "1e3", "",
+     "1/0", "1" * 5000, "nan", 0.5, True, None],
+    ids=lambda v: repr(v) if len(repr(v)) < 20 else "5000-digits",
+)
+def test_parse_frac_refuses(text):
+    """Only ASCII -?D, -?D/D and -?D.D strings and JSON integers are read."""
+    with pytest.raises(ModelError):
+        _parse_frac(text)
 
 
 def chain_model(table) -> ClassicalGmcModel:
