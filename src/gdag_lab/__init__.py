@@ -60,9 +60,7 @@ from .cones import (
     derive_classical_cone,
     derive_independence_cone,
     elemental_inequalities,
-    fourier_motzkin_eliminate,
     implied_by,
-    markov_constraint_rows,
 )
 from .linprog import nonneg_combination
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, inf
-from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import GDag, _bits
@@ -31,12 +30,13 @@ class _Routing(NamedTuple):
     tol: float
 
 
-#: Float threshold of the HiGHS proposal in ``_confirm``: an LP optimum
-#: above ``tol`` proposes a Farkas vector; otherwise the row duals above
-#: ``tol`` propose the multipliers of the target, and their support a
-#: smaller exact solve.  Each proposed value is rationalised to the
-#: first continued-fraction convergent within ``tol * max(1, |v|)``.
-#: It only chooses which exact check runs and never decides an answer.
+#: Float threshold of the HiGHS proposal in ``_FloatRows.confirm``: an
+#: LP optimum above ``tol`` proposes a Farkas vector; otherwise the row
+#: duals above ``tol`` propose the multipliers of the target, and their
+#: support a smaller exact solve.  Each proposed value is rationalised
+#: to the first continued-fraction convergent within
+#: ``tol * max(1, |v|)``.  It only chooses which exact check runs and
+#: never decides an answer.
 LP_ROUTING = _Routing(tol=1e-9)
 
 
@@ -228,11 +228,6 @@ def _markov_rows(g: GDag) -> list[tuple[int, ...]]:
     return rows
 
 
-def markov_constraint_rows(g: GDag) -> list[LinIneq]:
-    """-I(X ; ND(X) | Pa(X)) >= 0 for each node with nondescendants."""
-    return list(Cone(g.names, tuple(_markov_rows(g))).ineqs())
-
-
 def _exact_implies(
     rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> bool:
@@ -241,36 +236,6 @@ def _exact_implies(
         [target[k] for k in coords], [[r[k] for k in coords] for r in rows]
     )
     return lam is not None
-
-
-def _refutes(
-    y: Sequence[int], target: tuple[int, ...], rows: Iterable[tuple[int, ...]]
-) -> bool:
-    """Is y an integer Farkas vector against target: y.target > 0 and
-    y.r <= 0 for every row?  Then target is not a nonnegative
-    combination of the rows."""
-    ks = [k for k, c in enumerate(y) if c]
-    cs = [y[k] for k in ks]
-
-    def dot(r: tuple[int, ...]) -> int:
-        return sum(map(mul, map(r.__getitem__, ks), cs))
-
-    return dot(target) > 0 and all(dot(r) <= 0 for r in rows)
-
-
-def _combines_to(
-    lam: Sequence[int], rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
-) -> bool:
-    """Is sum(lam_j * rows_j) a positive multiple of target (nonzero)?
-    Checked in integers."""
-    v = [0] * len(target)
-    for c, r in zip(lam, rows):
-        if c:
-            v = [a + c * b for a, b in zip(v, r)]
-    i = next(i for i, t in enumerate(target) if t)
-    return v[i] * target[i] > 0 and all(
-        a * target[i] == t * v[i] for a, t in zip(v, target)
-    )
 
 
 def _convergent(v: float) -> Fraction:
@@ -366,50 +331,12 @@ class _HighsLp:
         )
 
 
-def _confirm(
-    rows: Sequence[tuple[int, ...]],
-    target: tuple[int, ...],
-    coords: Sequence[int],
-    optimum: float,
-    vertex: list[float],
-    duals: list[float],
-    pool: Optional[dict] = None,
-) -> Optional[bool]:
-    """Check what HiGHS proposes for  max target.y  s.t.  r.y <= 0 for
-    every row, -1 <= y <= 1: its ``optimum``, the ``vertex`` y on the
-    columns ``coords`` and the ``duals``, one per row.
-
-    A positive optimum proposes y as a Farkas vector.  An optimum of 0
-    proposes the duals as the multipliers of target, and failing that
-    their support.  Returns the answer once an exact check confirms a
-    proposal, else None.  A confirmed Farkas vector joins ``pool``: a
-    dict from the vector, as an int tuple in full coordinates, to its
-    float array for screening."""
-    if optimum > LP_ROUTING.tol:
-        y = _normalize(_rationalize(vertex))
-        if y is None:
-            return None
-        full = [0] * len(target)
-        for k, v in zip(coords, y):
-            full[k] = v
-        if not _refutes(full, target, rows):
-            return None
-        if pool is not None:
-            import numpy as np
-
-            # scaled by a power of two: exact where the ints are, and no
-            # overflow however large they are
-            scale = 1 << max(map(abs, full)).bit_length()
-            pool[tuple(full)] = np.array([v / scale for v in full])
-        return False
-    support = [j for j, d in enumerate(duals) if d > LP_ROUTING.tol]
-    if not support:
-        return None
-    lam = _normalize(_rationalize([duals[j] for j in support]))
-    used = [rows[j] for j in support]
-    if lam is not None and _combines_to(lam, used, target):
-        return True
-    return True if _exact_implies(used, target) else None
+def _exact_dtype(np, peak: int, weight: int):
+    """The dtype of an exact product of integers at most ``peak`` in size
+    with multipliers whose sizes sum to ``weight``: int64 when
+    peak * weight < 2**63, so that no partial sum can overflow, else
+    object (Python ints)."""
+    return np.int64 if peak * weight < 1 << 63 else object
 
 
 def _rows_implies(
@@ -429,76 +356,128 @@ def _rows_implies(
     np = _numpy()
     answer = None
     if np is not None:
-        floats = _FloatRows(np, [*rows, target], None)
-        answer = floats.proposal(len(rows), [True] * len(rows) + [False], rows)
+        answer = _FloatRows(np, [*rows, target], None).proposal(len(rows))
     return _exact_implies(rows, target) if answer is None else answer
 
 
 class _FloatRows:
-    """The float side of one ``_minimize`` or ``_rows_implies``: one
-    HiGHS model of its rows on the coordinates they mention, and the
-    pooled Farkas vectors screened against them."""
+    """One ``_minimize`` or ``_rows_implies`` pass on the coordinates its
+    rows mention: the rows' integer matrix, which decides every check,
+    and one HiGHS model of its float copy, which only proposes.  A row
+    is live until it is tested, and again once it is kept.
+
+    ``pool`` holds integer Farkas vectors in full coordinates.  Each is
+    multiplied by the rows once, exactly, when the pass starts; vectors
+    the pass adds cannot refute another of its rows, since each refutes
+    a row that the pass keeps."""
 
     def __init__(self, np, rows: list[tuple[int, ...]], pool) -> None:
         self.np = np
         self.rows = rows
         self.pool = pool
-        a = np.array(rows, dtype=float)
-        coords = np.flatnonzero((a != 0).any(axis=0))
-        self.coords = coords.tolist()
-        self.a = np.ascontiguousarray(a[:, coords])
+        # at least 1, so that peak * weight also bounds each multiplier
+        self.peak = max(1, max(map(abs, chain.from_iterable(rows))))
+        ints = np.array(rows, dtype=_exact_dtype(np, self.peak, 1))
+        self.coords = np.flatnonzero((ints != 0).any(axis=0))
+        self.ints = ints[:, self.coords]
+        self.a = self.ints.astype(float)
         self.lp = _HighsLp(np, self.a)
-        # vectors this pass adds cannot refute another of its rows: each
-        # refutes a row that the pass keeps
-        self.witnesses = list(pool or ())
-        if self.witnesses:
-            self.positive = np.array(list(pool.values())) @ a.T > 0
+        self.live = np.ones(len(rows), dtype=bool)
+        self.positive = None
+        if pool:
+            ints, dtype = self._exact(max(sum(map(abs, y)) for y in pool))
+            ys = np.array(list(pool), dtype=dtype)[:, self.coords]
+            self.positive = ys @ ints.T > 0
             # per vector, the live rows it is positive on; a vector
             # refutes row j only if j is the one
             self.live_positive = self.positive.sum(axis=1)
 
-    def witnessed(self, j: int, rest: list[tuple[int, ...]]) -> bool:
-        """Does a pooled vector refute row j against ``rest``?  Floats
-        screen, integers decide."""
-        if not self.witnesses:
-            return False
-        hits = self.np.flatnonzero(self.positive[:, j] & (self.live_positive == 1))
-        return any(
-            _refutes(self.witnesses[i], self.rows[j], rest) for i in hits.tolist()
-        )
+    def _exact(self, weight: int):
+        """The integer matrix in the dtype in which its products with
+        multipliers whose sizes sum to ``weight`` are exact, and that
+        dtype."""
+        dtype = _exact_dtype(self.np, self.peak, weight)
+        return self.ints.astype(dtype, copy=False), dtype
 
-    def proposal(self, j: int, keep: list[bool], rest) -> Optional[bool]:
-        """Row j against the rows in ``keep``: free row j, maximise
-        row j on the model and ``_confirm`` the answer."""
+    def witnessed(self, j: int) -> bool:
+        """Is a pooled vector positive on row j and on no other live
+        row?  Then it refutes row j (Farkas's lemma)."""
+        if self.positive is None:
+            return False
+        return bool((self.positive[:, j] & (self.live_positive == 1)).any())
+
+    def proposal(self, j: int) -> Optional[bool]:
+        """Row j against the other live rows: free row j, maximise row j
+        on the model and ``confirm`` the answer."""
         self.lp.free(j)
+        self.live[j] = False
         solved = self.lp.solve(self.a[j])
-        if solved is None:
+        return None if solved is None else self.confirm(j, *solved)
+
+    def confirm(
+        self, j: int, optimum: float, vertex: list[float], duals: list[float]
+    ) -> Optional[bool]:
+        """Check what HiGHS proposes for  max r_j.y  s.t.  r.y <= 0 for
+        every live row r, -1 <= y <= 1: its ``optimum``, the ``vertex`` y
+        on the pass's coordinates and the ``duals``, one per row.
+
+        A positive optimum proposes y as a Farkas vector: one product
+        of the integer matrix with y must be positive on row j and on no
+        live row.  A confirmed vector joins the pool.  An optimum of 0
+        proposes the live rows' duals as the multipliers of row j: their
+        product with those rows must be a positive multiple of row j,
+        and failing that an exact solve on their support decides.
+        Returns the answer once an exact check confirms a proposal,
+        else None."""
+        np = self.np
+        if optimum > LP_ROUTING.tol:
+            y = _normalize(_rationalize(vertex))
+            if y is None:
+                return None
+            ints, dtype = self._exact(sum(map(abs, y)))
+            v = ints @ np.array(y, dtype=dtype)
+            if v[j] <= 0 or (v[self.live] > 0).any():
+                return None
+            if self.pool is not None:
+                full = [0] * len(self.rows[j])
+                for k, c in zip(self.coords.tolist(), y):
+                    full[k] = c
+                self.pool.add(tuple(full))
+            return False
+        duals = np.asarray(duals)
+        support = np.flatnonzero(duals > LP_ROUTING.tol)
+        support = support[self.live[support]]
+        if not support.size:
             return None
-        optimum, vertex, duals = solved
-        return _confirm(
-            rest,
-            self.rows[j],
-            self.coords,
-            optimum,
-            vertex,
-            list(compress(duals, keep)),
-            self.pool,
-        )
+        lam = _normalize(_rationalize(duals[support].tolist()))
+        if lam is not None:
+            # the weight also bounds the cross products with row j
+            ints, dtype = self._exact(sum(lam) * self.peak)
+            combined = np.array(lam, dtype=dtype) @ ints[support]
+            target = ints[j]
+            i = target.nonzero()[0][0]
+            if combined[i] * target[i] > 0 and (
+                combined * target[i] == target * combined[i]
+            ).all():
+                return True
+        used = [self.rows[i] for i in support.tolist()]
+        return True if _exact_implies(used, self.rows[j]) else None
 
     def settle(self, j: int, kept: bool) -> None:
-        """Row j's verdict: a kept row gets its bound back; a dropped
-        one stays free as its test left it (a zero row, never tested,
-        constrains nothing) and leaves the witness counts."""
+        """Row j's verdict: a kept row is live, its bound restored; a
+        dropped one stays free as its test left it (a zero row, never
+        tested, constrains nothing) and leaves the witness counts."""
         if kept:
             self.lp.bound(j)
-        elif self.witnesses:
+        elif self.positive is not None:
             self.live_positive -= self.positive[:, j]
+        self.live[j] = kept
 
 
 def _minimize(
     rows: list[tuple[int, ...]],
     irredundant: Collection[tuple[int, ...]] = (),
-    pool: Optional[dict] = None,
+    pool: Optional[set] = None,
 ) -> list[tuple[int, ...]]:
     """Drop rows implied by the remaining ones (greedy, deterministic).
 
@@ -508,8 +487,8 @@ def _minimize(
     combination of that set without r, so the Farkas vector that
     refuted r there still refutes it, and the greedy would keep r too.
 
-    ``pool`` holds integer Farkas vectors, over the rows' coordinates,
-    from earlier passes.  One that refutes r against the remaining rows
+    ``pool`` is a set of integer Farkas vectors, int tuples over the
+    rows' coordinates, from earlier passes.  One that refutes r against the remaining rows
     keeps r without an LP (Farkas's lemma), and every Farkas vector this
     pass confirms joins the pool.  A new row is a positive combination
     of two rows of the previous step, and the vector that refuted one
@@ -524,12 +503,13 @@ def _minimize(
         if r in irredundant:
             continue
         keep[j] = False
-        rest = list(compress(rows, keep))
-        if not rest or floats and floats.witnessed(j, rest):
+        if not any(keep) or floats and floats.witnessed(j):
             keep[j] = True
         elif any(r):
-            answer = floats.proposal(j, keep, rest) if floats else None
-            keep[j] = not (_exact_implies(rest, r) if answer is None else answer)
+            answer = floats.proposal(j) if floats else None
+            if answer is None:
+                answer = _exact_implies(list(compress(rows, keep)), r)
+            keep[j] = not answer
         if floats:
             floats.settle(j, keep[j])
     return list(compress(rows, keep))
@@ -555,15 +535,6 @@ def _eliminate_coord(
             if norm is not None:
                 out.append(norm)
     return _dedupe(out)
-
-
-def fourier_motzkin_eliminate(c: Cone, coord: Iterable[str]) -> Cone:
-    """Project out one entropy coordinate, then remove redundant rows."""
-    mask = _mask({v: i for i, v in enumerate(c.variables)}, coord)
-    if mask == 0:
-        raise ConeError("empty coordinate")
-    rows = _eliminate_coord(list(c.rows), mask - 1)
-    return Cone(c.variables, tuple(_minimize(rows)))
 
 
 def _restrict(
@@ -610,7 +581,7 @@ def derive_classical_cone(
     # rows already proved irredundant; the first step's input never was
     kept: frozenset[tuple[int, ...]] = frozenset()
     # Farkas vectors confirmed at every step, over g's subsets
-    pool: dict = {}
+    pool: set = set()
     for step, m in enumerate(latent_coords):
         rows = _eliminate_coord(rows, m - 1)
         rows = _minimize(rows, kept, pool)

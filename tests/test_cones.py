@@ -2,7 +2,7 @@ import json
 import sys
 from fractions import Fraction
 from hashlib import sha256
-from itertools import combinations
+from itertools import combinations, compress
 from random import Random
 
 import pytest
@@ -21,13 +21,14 @@ from gdag_lab.cones import (
     Cone,
     ConeError,
     LinIneq,
+    _eliminate_coord,
+    _markov_rows,
+    _minimize,
     _rows_implies,
     derive_classical_cone,
     derive_independence_cone,
     elemental_inequalities,
-    fourier_motzkin_eliminate,
     implied_by,
-    markov_constraint_rows,
 )
 from gdag_lab.linprog import nonneg_combination
 from gdag_lab.models import entropy, observed_from_classical_gmc
@@ -162,12 +163,13 @@ def test_markov_rows_vanish_on_markov_joints(seed):
     g = random_gdag(rng, max_nodes=4, p_unobserved=0.0)
     p = observed_from_classical_gmc(random_markov_model(rng, g))
     h = _entropy_vector(p)
-    for ineq in markov_constraint_rows(g):
+    for ineq in Cone(g.names, tuple(_markov_rows(g))).ineqs():
         assert abs(ineq.value(h)) <= 1e-9
 
 
 def test_markov_rows_chain():
-    rows = markov_constraint_rows(chain())
+    g = chain()
+    rows = Cone(g.names, tuple(_markov_rows(g))).ineqs()
     # X and Z have no nondescendants beyond their parents, so only Y
     # contributes: -I(Y; X | Z) >= 0.
     vals = [i.coeffs for i in rows]
@@ -182,23 +184,20 @@ def test_markov_rows_chain():
 # -- Fourier-Motzkin ----------------------------------------------------
 
 
+def _project(rows, mask):
+    """One Fourier-Motzkin step on the coordinate of subset ``mask``,
+    then the redundancy pass."""
+    return _minimize(_eliminate_coord(list(rows), mask - 1))
+
+
 def test_fm_two_variable_shannon():
     c = elemental_inequalities(("A", "B"))
-    out = fourier_motzkin_eliminate(c, ["A", "B"])  # drop the joint coord
-    live = {r for r in out.rows}
+    live = set(_project(c.rows, 0b11))  # drop the joint coord
     # projection of the Shannon cone onto (H(A), H(B)) is the quadrant
     assert (1, 0, 0) in live
     assert (0, 1, 0) in live
     assert all(r[2] == 0 for r in live)
     assert len(live) == 2
-
-
-def test_fm_rejects_unknown_coord():
-    c = elemental_inequalities(("A", "B"))
-    with pytest.raises(ConeError):
-        fourier_motzkin_eliminate(c, ["Z"])
-    with pytest.raises(ConeError):
-        fourier_motzkin_eliminate(c, [])
 
 
 def _satisfies(rows, point):
@@ -221,10 +220,9 @@ def test_fm_projection_oracle(seed):
     rows = tuple(r for r in rows if any(r))
     if not rows:
         return
-    c = Cone(vars3, rows)
-    out = fourier_motzkin_eliminate(c, ["A", "B"])
+    out = _project(Cone(vars3, rows).rows, 0b11)
     point = [F(rng.randint(-4, 4)), F(rng.randint(-4, 4))]
-    ok_proj = _satisfies([r[:2] for r in out.rows], point)
+    ok_proj = _satisfies([r[:2] for r in out], point)
     cons = [
         Constraint(
             {"t": F(r[2])},
@@ -327,11 +325,10 @@ def _exact_answer(rows, target) -> bool:
 
 
 @st.composite
-def _small_systems(draw):
-    """Small integer rows plus a target that is a nonnegative combination
-    of them (feasible) or arbitrary (mostly infeasible)."""
+def _small_systems(draw, coef=st.integers(-3, 3)):
+    """Rows of ``coef`` entries plus a target that is a nonnegative
+    combination of them (feasible) or arbitrary (mostly infeasible)."""
     dim = draw(st.integers(1, 4))
-    coef = st.integers(-3, 3)
     rows = draw(st.lists(st.tuples(*[coef] * dim), min_size=1, max_size=6))
     if draw(st.booleans()):
         lam = draw(
@@ -464,15 +461,18 @@ def test_minimize_warm_model_matches_exact(rows):
     from scipy.optimize import linprog
 
     proposed = []
-    confirm = cones._confirm
+    confirm = cones._FloatRows.confirm
 
-    def spy(rest, target, coords, optimum, *args):
-        proposed.append((rest, target, optimum))
-        return confirm(rest, target, coords, optimum, *args)
+    def spy(self, j, optimum, *args):
+        rest = list(compress(self.rows, self.live))
+        proposed.append((rest, self.rows[j], optimum))
+        return confirm(self, j, optimum, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cones, "_confirm", spy)
+        mp.setattr(cones._FloatRows, "confirm", spy)
         kept = cones._minimize(rows)
+    # with two distinct nonzero rows the first of them gets a proposal
+    assert proposed or len({r for r in rows if any(r)}) < 2
     for rest, target, optimum in proposed:
         cold = linprog(
             [-t for t in target], A_ub=rest, b_ub=[0] * len(rest), bounds=(-1, 1)
@@ -499,6 +499,56 @@ def test_minimize_exact_under_adversarial_lp(rows, data):
         kept = cones._minimize(rows)
     assert calls
     assert kept == _minimize_without_scipy(rows)
+
+
+def test_exact_dtype_bound():
+    """int64 exactly while no partial sum can reach 2**63."""
+    np = pytest.importorskip("numpy")
+    assert cones._exact_dtype(np, 1, 2**63 - 1) is np.int64
+    assert cones._exact_dtype(np, 1, 2**63) is object
+    assert cones._exact_dtype(np, 2**31, 2**32 - 1) is np.int64
+    assert cones._exact_dtype(np, 2**31, 2**32) is object
+
+
+#: entries 0 or at least 2**40 in size: a dual check's weight includes
+#: the largest entry, so its products pass the int64 bound
+_BIG = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda c, d: c * 2**40 + d,
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.integers(-3, 3),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_systems(_BIG))
+def test_big_integer_rows_match_exact(system):
+    rows, target = system
+    assert _rows_implies(rows, target) == _exact_answer(rows, target)
+    assert cones._minimize(rows) == _minimize_without_scipy(rows)
+
+
+def test_big_rows_dual_check_on_python_ints(monkeypatch):
+    """Rows of size 2**40 + 1: HiGHS's duals for an implied target are
+    multiplied out as Python ints and decide with no exact solve."""
+    pytest.importorskip("scipy.optimize")
+    chosen = []
+    pick = cones._exact_dtype
+
+    def spy(np, peak, weight):
+        chosen.append(pick(np, peak, weight))
+        return chosen[-1]
+
+    def fallback(*args):
+        raise AssertionError("the exact simplex ran")
+
+    monkeypatch.setattr(cones, "_exact_dtype", spy)
+    monkeypatch.setattr(cones, "_exact_implies", fallback)
+    b = 2**40 + 1
+    assert _rows_implies([(b, 0), (0, b)], (b, 2 * b))
+    assert chosen[-1] is object
 
 
 def _cone_answers(g):
@@ -576,9 +626,10 @@ def test_pooled_witness_rows_not_implied(make, monkeypatch):
     kept = []
     witnessed = cones._FloatRows.witnessed
 
-    def spy(self, j, rest):
-        hit = witnessed(self, j, rest)
+    def spy(self, j):
+        hit = witnessed(self, j)
         if hit:
+            rest = [r for i, r in enumerate(self.rows) if self.live[i] and i != j]
             kept.append((self.rows[j], rest))
         return hit
 
