@@ -21,7 +21,6 @@ from .models import (
     ModelError,
     conditional_mutual_information,
     entropy,
-    information_quantity,
     is_conditionally_independent,
     mutual_information,
     observed_from_classical_gmc,
@@ -47,7 +46,6 @@ from .classify import (
 )
 from .enumeration import (
     CensusReport,
-    canonical_form,
     canonical_key,
     classification_census,
     enumerate_gdags,

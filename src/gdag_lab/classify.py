@@ -413,10 +413,6 @@ CARDINALITY_ASSUMING_RULES = (
 )
 
 
-def assumes_classical_encoding(r: ReductionRule) -> bool:
-    return isinstance(r, CARDINALITY_ASSUMING_RULES)
-
-
 def _component_of(g: GDag, n: str) -> frozenset[str]:
     i = g.index[n]
     seen = 1 << i

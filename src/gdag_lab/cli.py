@@ -35,6 +35,7 @@ from .classify import reduce as reduce_gdag, sufficient_condition_holds
 from .catalog import instrumental_gdag, triangle_gdag
 from .enumeration import CENSUS_MAX_N, classification_census, isomorphic
 from .cones import (
+    Cone,
     ConeError,
     derive_classical_cone,
     derive_independence_cone,
@@ -72,24 +73,21 @@ def _read_dist(path: str) -> Distribution | ConditionalDistribution:
     return Distribution.from_json(text)
 
 
-def _split(arg: str | None) -> frozenset[str]:
-    if not arg:
-        return frozenset()
-    return frozenset(x for x in arg.split(",") if x)
+def _split(arg: str) -> list[str]:
+    """The distinct ids of a comma-separated list, sorted, so that the
+    unknown id an error names does not depend on set order."""
+    return sorted({x for x in arg.split(",") if x})
 
 
 def _cmd_dsep(args) -> int:
     g = read_graph(args.graph)
     x, y, z = _split(args.x), _split(args.y), _split(args.z)
     try:
-        st = CIStatement(x, y, z)
-        unknown = (x | y | z) - set(g.names)
-        if unknown:
-            raise ValueError(f"unknown nodes: {sorted(unknown)}")
+        CIStatement(frozenset(x), frozenset(y), frozenset(z))
     except ValueError as e:
         raise CliError(str(e)) from None
     if args.witness:
-        w = d_separated_via_partition(g, st.x, st.y, st.z)
+        w = d_separated_via_partition(g, x, y, z)
         if w is None:
             print("false")
         else:
@@ -98,7 +96,7 @@ def _cmd_dsep(args) -> int:
                 "u": sorted(w.u), "v": sorted(w.v), "z": sorted(w.z), "w": sorted(w.w)
             }))
     else:
-        print("true" if d_separated(g, st.x, st.y, st.z) else "false")
+        print("true" if d_separated(g, x, y, z) else "false")
     return 0
 
 
@@ -245,19 +243,10 @@ def _cmd_entropic(args) -> int:
         "independence": json.loads(ei.to_json()),
     }
     if args.compare:
-        extra = [
-            {
-                "coeffs": {
-                    ",".join(sorted(s)): f"{c.numerator}/{c.denominator}"
-                    for s, c in sorted(
-                        ineq.coeffs.items(), key=lambda kv: sorted(kv[0])
-                    )
-                }
-            }
-            for ineq in ec.ineqs()
-            if not implied_by(ineq, ei)
-        ]
-        out["not_implied_by_independence"] = extra
+        extra = Cone(ec.variables, tuple(
+            r for r, ineq in zip(ec.rows, ec.ineqs()) if not implied_by(ineq, ei)
+        ))
+        out["not_implied_by_independence"] = json.loads(extra.to_json())["ineqs"]
     print(json.dumps(out))
     return 0
 

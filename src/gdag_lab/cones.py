@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, inf
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .graph import GDag, _bits
 from .dsep import observable_ci_set
@@ -26,18 +26,13 @@ MAX_CONE_NODES = 6
 _MAX_VARIABLES = 8
 
 
-class _Routing(NamedTuple):
-    tol: float
-
-
 #: Float threshold of the HiGHS proposal in ``_FloatRows.confirm``: an
-#: LP optimum above ``tol`` proposes a Farkas vector; otherwise the row
-#: duals above ``tol`` propose the multipliers of the target, and their
-#: support a smaller exact solve.  Each proposed value is rationalised
-#: to the first continued-fraction convergent within
-#: ``tol * max(1, |v|)``.  It only chooses which exact check runs and
-#: never decides an answer.
-LP_ROUTING = _Routing(tol=1e-9)
+#: LP optimum above it proposes a Farkas vector; otherwise the row duals
+#: above it propose the multipliers of the target, and their support a
+#: smaller exact solve.  Each proposed value is rationalised to the
+#: first continued-fraction convergent within ``LP_TOL * max(1, |v|)``.
+#: It only chooses which exact check runs and never decides an answer.
+LP_TOL = 1e-9
 
 
 class ConeError(ValueError):
@@ -92,9 +87,6 @@ class LinIneq:
     def __eq__(self, other):
         return isinstance(other, LinIneq) and self.coeffs == other.coeffs
 
-    def value(self, h: dict[frozenset[str], float]) -> float:
-        return sum(float(c) * h[s] for s, c in self.coeffs.items())
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -102,6 +94,10 @@ class Cone:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # a subset is written as its names joined by ","
+        for v in self.variables:
+            if not isinstance(v, str) or "," in v:
+                raise ConeError(f"cone variable {v!r} must be a string without ','")
         if len(set(self.variables)) != len(self.variables):
             raise ConeError(f"repeated cone variable in {list(self.variables)}")
         size = (1 << len(self.variables)) - 1
@@ -170,16 +166,6 @@ class Cone:
         return Cone(cone.variables, tuple(rows))
 
 
-def _dedupe(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 def elemental_inequalities(variables: Sequence[str]) -> Cone:
     """The elemental generating set of the Shannon cone."""
     n = len(variables)
@@ -199,7 +185,7 @@ def elemental_inequalities(variables: Sequence[str]) -> Cone:
                 if k == 0:
                     break
                 k = (k - 1) & rest
-    return Cone(tuple(variables), tuple(_dedupe(rows)))
+    return Cone(tuple(variables), tuple(dict.fromkeys(rows)))
 
 
 def _cmi_row(
@@ -240,9 +226,9 @@ def _exact_implies(
 
 def _convergent(v: float) -> Fraction:
     """The first continued-fraction convergent of v within
-    ``LP_ROUTING.tol * max(1, |v|)`` of it: the simplest fraction that
+    ``LP_TOL * max(1, |v|)`` of it: the simplest fraction that
     float noise of that size cannot tell from v."""
-    bound = LP_ROUTING.tol * max(1.0, abs(v))
+    bound = LP_TOL * max(1.0, abs(v))
     num, den = v.as_integer_ratio()
     p, q, p0, q0 = 1, 0, 0, 1
     while True:
@@ -430,7 +416,7 @@ class _FloatRows:
         Returns the answer once an exact check confirms a proposal,
         else None."""
         np = self.np
-        if optimum > LP_ROUTING.tol:
+        if optimum > LP_TOL:
             y = _normalize(_rationalize(vertex))
             if y is None:
                 return None
@@ -445,7 +431,7 @@ class _FloatRows:
                 self.pool.add(tuple(full))
             return False
         duals = np.asarray(duals)
-        support = np.flatnonzero(duals > LP_ROUTING.tol)
+        support = np.flatnonzero(duals > LP_TOL)
         support = support[self.live[support]]
         if not support.size:
             return None
@@ -495,7 +481,7 @@ def _minimize(
     of them often still refutes it.  Every answer, whatever its route,
     is exact, so the greedy keeps the same rows.
     """
-    rows = sorted(_dedupe(rows))
+    rows = sorted(set(rows))
     keep = [True] * len(rows)
     np = _numpy() if any(r not in irredundant for r in rows) else None
     floats = _FloatRows(np, rows, pool) if np is not None else None
@@ -534,7 +520,7 @@ def _eliminate_coord(
             norm = _normalize([-q[k] * a + p[k] * b for a, b in zip(p, q)])
             if norm is not None:
                 out.append(norm)
-    return _dedupe(out)
+    return list(dict.fromkeys(out))
 
 
 def _restrict(
@@ -554,7 +540,7 @@ def _restrict(
                 raise ConeError("row mentions an eliminated coordinate")
             new[sum(1 << j for j, i in enumerate(bits) if m >> i & 1) - 1] = coef
         out.append(tuple(new))
-    return _dedupe(out)
+    return list(dict.fromkeys(out))
 
 
 def _check_size(g: GDag, allow_large: bool) -> None:
@@ -573,7 +559,7 @@ def derive_classical_cone(
     _check_size(g, allow_large)
     cone = elemental_inequalities(g.names)
     # the elemental set is already irredundant; skip the initial pass
-    rows = _dedupe(list(cone.rows) + _markov_rows(g))
+    rows = list(dict.fromkeys([*cone.rows, *_markov_rows(g)]))
 
     unobs_mask = g.all_mask & ~g.observed_mask
     latent_coords = [m for m in range(1, g.all_mask + 1) if m & unobs_mask]

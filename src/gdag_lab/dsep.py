@@ -128,12 +128,6 @@ def _dsep_mask(g: GDag, xm: int, ym: int, zm: int) -> bool:
     return not (_pseudo_closure(g, xm, w, zm) & ym)
 
 
-def exogenous_remainder(g: GDag, x, y, z) -> frozenset[str]:
-    """W: every node outside the inclusive ancestry of x, y and z."""
-    xm, ym, zm = _check_disjoint(g, x, y, z)
-    return g.names_of(_w_mask(g, xm, ym, zm))
-
-
 def d_separated(g: GDag, x, y, z) -> bool:
     """True iff every pseudo-path from x to y passes through z."""
     xm, ym, zm = _check_disjoint(g, x, y, z)

@@ -148,11 +148,6 @@ def _graph_of_key(n: int, key: int) -> GDag:
     )
 
 
-def canonical_form(g: GDag) -> GDag:
-    """Canonical representative of the kind-preserving isomorphism class."""
-    return _graph_of_key(len(g.names), canonical_key(g))
-
-
 def isomorphic(g: GDag, h: GDag) -> bool:
     return canonical_key(g) == canonical_key(h)
 

@@ -208,14 +208,6 @@ class GDag:
             m |= self.anc_mask[i]
         return self.names_of(m)
 
-    def inclusive_children(self, u: Iterable[str]) -> frozenset[str]:
-        """ch(u): u together with every child of a member of u."""
-        um = self.mask_of(u)
-        m = um
-        for i in _bits(um):
-            m |= self.child_mask[i]
-        return self.names_of(m)
-
     def topological_order(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self._topo)
 

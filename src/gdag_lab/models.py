@@ -569,14 +569,3 @@ def conditional_mutual_information(p: Distribution, s, t, u) -> float:
         - entropy(p, u)
     )
 
-
-def information_quantity(p: Distribution, query: tuple) -> float:
-    """Dispatch on ('H', S), ('I', S, T) or ('I', S, T, U)."""
-    kind = query[0]
-    if kind == "H" and len(query) == 2:
-        return entropy(p, query[1])
-    if kind == "I" and len(query) == 3:
-        return mutual_information(p, query[1], query[2])
-    if kind == "I" and len(query) == 4:
-        return conditional_mutual_information(p, query[1], query[2], query[3])
-    raise ModelError(f"unknown query {query!r}")

@@ -15,6 +15,7 @@ from gdag_lab.catalog import (
 )
 from gdag_lab import classify
 from gdag_lab.classify import (
+    CARDINALITY_ASSUMING_RULES,
     AbsorbDominatedUnobserved,
     AddEdgeParentSubset,
     AddEdgeUnobservedPath,
@@ -34,7 +35,6 @@ from gdag_lab.classify import (
     apply_reduction,
     apply_transformation,
     applicable_reductions,
-    assumes_classical_encoding,
     reduce,
     sufficient_condition_holds,
 )
@@ -403,8 +403,8 @@ def test_merge_unobserved_into_sole_child():
     )
     h = apply_reduction(g, MergeUnobservedIntoSoleChild("L"))
     assert h.names == ("A",)
-    assert assumes_classical_encoding(MergeUnobservedIntoSoleChild("L"))
-    assert not assumes_classical_encoding(DropChildlessUnobserved("L"))
+    assert isinstance(MergeUnobservedIntoSoleChild("L"), CARDINALITY_ASSUMING_RULES)
+    assert not isinstance(DropChildlessUnobserved("L"), CARDINALITY_ASSUMING_RULES)
 
 
 def test_merge_observed_into_parentless_unobserved_parent():
@@ -420,7 +420,7 @@ def test_merge_observed_into_parentless_unobserved_parent():
     assert rules
     h = apply_reduction(g, rules[0])
     assert len(h.names) < len(g.names)
-    assert assumes_classical_encoding(rules[0])
+    assert isinstance(rules[0], CARDINALITY_ASSUMING_RULES)
 
 
 def test_reduce_fixed_point():

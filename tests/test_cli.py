@@ -16,6 +16,7 @@ from gdag_lab.catalog import (
     triangle_gdag,
 )
 from gdag_lab.cli import run
+from gdag_lab.cones import Cone, implied_by
 from gdag_lab.graph import GDag, NodeKind, parse_gdag
 from gdag_lab.models import ConditionalDistribution, Distribution
 
@@ -58,6 +59,10 @@ def test_dsep_rejects_bad_sets(bell_path, capsys):
     assert run(["dsep", bell_path, "--x", "X", "--y", "X"]) == 2
     assert "error:" in capsys.readouterr().err
     assert run(["dsep", bell_path, "--x", "X", "--y", "NOPE"]) == 2
+    assert capsys.readouterr().err == "error: unknown node id 'NOPE'\n"
+    # ids are read in sorted order, so the first unknown one is named
+    assert run(["dsep", bell_path, "--x", "Q,P,R", "--y", "Y"]) == 2
+    assert capsys.readouterr().err == "error: unknown node id 'P'\n"
 
 
 def test_ci_set(bell_path, capsys):
@@ -463,6 +468,37 @@ def test_entropic_compare(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"classical", "independence", "not_implied_by_independence"}
     assert out["classical"]["variables"] == ["X", "A", "B"]
+
+
+def test_entropic_compare_triangle(tmp_path, capsys):
+    """The rows of E_C that E_I does not imply are written byte for byte
+    as in "classical" and in its order; the monogamy row is one."""
+    gp = tmp_path / "triangle.json"
+    gp.write_text(triangle_gdag().to_json())
+    assert run(["entropic", gp.as_posix(), "--compare"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ec = Cone.from_json(json.dumps(out["classical"]))
+    ei = Cone.from_json(json.dumps(out["independence"]))
+    classical = [json.dumps(r) for r in out["classical"]["ineqs"]]
+    listed = [json.dumps(r) for r in out["not_implied_by_independence"]]
+    assert len(listed) == 7
+    assert listed == [r for r in classical if r in listed]
+    # from_json keeps the rows in the order it reads them
+    for r, ineq in zip(classical, ec.ineqs(), strict=True):
+        assert implied_by(ineq, ei) is (r not in listed)
+    monogamy = {"coeffs": {
+        "A": "-1/1", "B": "-1/1", "C": "-1/1", "A,B": "1/1", "B,C": "1/1",
+    }}
+    assert monogamy in out["not_implied_by_independence"]
+
+
+def test_entropic_rejects_comma_in_node_id(tmp_path, capsys):
+    gp = tmp_path / "comma.json"
+    gp.write_text(GDag([("A,B", NodeKind.OBSERVED), ("C", NodeKind.OBSERVED)]).to_json())
+    assert run(["entropic", str(gp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "','" in err
 
 
 def test_entropic_size_guard(tmp_path, capsys):

@@ -19,7 +19,6 @@ from gdag_lab.dsep import (
     ci_subset,
     d_separated,
     d_separated_via_partition,
-    exogenous_remainder,
     observable_ci_set,
 )
 from gdag_lab.graph import GDag, GraphError, NodeKind
@@ -74,7 +73,7 @@ def test_rejects_overlapping_sets():
 
 def test_exogenous_remainder():
     g = extended_bell_gdag()
-    assert exogenous_remainder(g, {"A", "D"}, {"F"}, set()) == frozenset(
+    assert d_separated_via_partition(g, {"A", "D"}, {"F"}, set()).w == frozenset(
         {"B", "C"}
     )
 

@@ -70,7 +70,7 @@ def test_ancestors_of_bell():
     assert g.inclusive_ancestors({"A", "B"}) == frozenset(
         {"A", "B", "X", "Y", "L"}
     )
-    assert g.inclusive_children({"L"}) == frozenset({"L", "A", "B"})
+    assert g.children("L") == frozenset({"A", "B"})
 
 
 def test_topological_order_valid():

@@ -19,7 +19,6 @@ from gdag_lab.models import (
     ModelError,
     conditional_mutual_information,
     entropy,
-    information_quantity,
     is_conditionally_independent,
     mutual_information,
     observed_from_classical_gmc,
@@ -399,22 +398,12 @@ def test_entropy_values():
         lambda p: entropy(p, {"A", "Z"}),
         lambda p: mutual_information(p, {"A"}, {"Z"}),
         lambda p: conditional_mutual_information(p, {"A"}, {"B"}, {"Z"}),
-        lambda p: information_quantity(p, ("H", {"Z"})),
     ],
-    ids=["H", "H-joint", "I", "I-given", "query"],
+    ids=["H", "H-joint", "I", "I-given"],
 )
 def test_unknown_variable_rejected(quantity):
     with pytest.raises(ModelError, match="unknown variable 'Z'"):
         quantity(uniform2("A", "B"))
-
-
-def test_information_quantity_dispatch():
-    p = uniform2("A", "B")
-    assert information_quantity(p, ("H", {"A"})) == pytest.approx(1.0)
-    assert information_quantity(p, ("I", {"A"}, {"B"})) == pytest.approx(0.0)
-    assert information_quantity(p, ("I", {"A"}, {"B"}, set())) == pytest.approx(0.0)
-    with pytest.raises(ModelError):
-        information_quantity(p, ("X", {"A"}))
 
 
 @settings(max_examples=60, deadline=None)
