@@ -7,12 +7,14 @@ JSON file to analyze an arbitrary GDAG.
 """
 
 import argparse
+import json
 import sys
 import time
 
 from gdag_lab.catalog import bell_gdag, triangle_gdag
 from gdag_lab.cli import guarded, read_graph
 from gdag_lab.cones import (
+    Cone,
     derive_classical_cone,
     derive_independence_cone,
     implied_by,
@@ -24,18 +26,16 @@ def analyze(name, g, progress, allow_large):
     ec = derive_classical_cone(g, allow_large=allow_large, progress=progress)
     ei = derive_independence_cone(g, allow_large=allow_large)
     dt = time.monotonic() - t0
-    extra = [i for i in ec.ineqs() if not implied_by(i, ei)]
+    extra = Cone(ec.variables, tuple(
+        r for r, ineq in zip(ec.rows, ec.ineqs()) if not implied_by(ineq, ei)
+    ))
     print(f"== {name} ({dt:.1f}s)")
     print(f"  classical cone: {len(ec.rows)} rows")
     print(f"  independence cone: {len(ei.rows)} rows")
-    if extra:
-        print(f"  {len(extra)} classical rows not implied by independence:")
-        for i in extra:
-            terms = " ".join(
-                f"{'+' if c > 0 else '-'}{abs(c)}*H({','.join(sorted(s))})"
-                for s, c in sorted(i.coeffs.items(), key=lambda kv: sorted(kv[0]))
-            )
-            print(f"    {terms} >= 0")
+    if extra.rows:
+        print(f"  {len(extra.rows)} classical rows not implied by independence:")
+        for row in json.loads(extra.to_json())["ineqs"]:
+            print(f"    {json.dumps(row['coeffs'])}")
     else:
         print("  cones coincide")
 

@@ -16,7 +16,7 @@ from itertools import chain, compress
 from math import gcd, inf
 from typing import Collection, Iterable, Optional, Sequence
 
-from .graph import GDag, _bits
+from .graph import GDag, _bits, _is_node_id
 from .dsep import observable_ci_set
 from .linprog import nonneg_combination
 from .models import _parse_frac
@@ -84,9 +84,6 @@ class LinIneq:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __eq__(self, other):
-        return isinstance(other, LinIneq) and self.coeffs == other.coeffs
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -94,10 +91,9 @@ class Cone:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # a subset is written as its names joined by ","
         for v in self.variables:
-            if not isinstance(v, str) or "," in v:
-                raise ConeError(f"cone variable {v!r} must be a string without ','")
+            if not _is_node_id(v):
+                raise ConeError(f"cone variable {v!r} is not a node id")
         if len(set(self.variables)) != len(self.variables):
             raise ConeError(f"repeated cone variable in {list(self.variables)}")
         size = (1 << len(self.variables)) - 1

@@ -151,33 +151,25 @@ def d_separated_via_partition(g: GDag, x, y, z) -> Optional[DsepWitness]:
 
 
 def _observed_triples(g: GDag) -> Iterator[tuple[int, int, int]]:
-    """All canonically-oriented disjoint (x, y, z) observed-subset triples.
+    """All canonically-oriented disjoint (x, y, z) observed-subset
+    triples, each once.
 
     Canonical orientation: the lowest-index node of x | y lies in x.
+    Each nonempty xy is split by y, a nonempty submask of xy without its
+    lowest node, and z runs over the submasks of the observed rest.
     """
-    obs = [i for i in range(len(g.names)) if (g.observed_mask >> i) & 1]
-    n = len(obs)
-    # assignment digit: 0 = outside, 1 = x, 2 = y, 3 = z
-    for code in range(4 ** n):
-        xm = ym = zm = 0
-        c = code
-        first_xy = -1
-        for i in obs:
-            d = c & 3
-            c >>= 2
-            if d == 1:
-                xm |= 1 << i
-                if first_xy < 0:
-                    first_xy = 1
-            elif d == 2:
-                ym |= 1 << i
-                if first_xy < 0:
-                    first_xy = 2
-            elif d == 3:
-                zm |= 1 << i
-        if not xm or not ym or first_xy != 1:
-            continue
-        yield xm, ym, zm
+    obs = xy = g.observed_mask
+    while xy:
+        y = high = xy & (xy - 1)
+        while y:
+            z = rest = obs ^ xy
+            while True:
+                yield xy ^ y, y, z
+                if not z:
+                    break
+                z = (z - 1) & rest
+            y = (y - 1) & high
+        xy = (xy - 1) & obs
 
 
 def observable_ci_set(g: GDag) -> CISet:

@@ -22,6 +22,12 @@ class NodeKind(Enum):
     UNOBSERVED = "unobserved"
 
 
+def _is_node_id(n: object) -> bool:
+    """True for a nonempty string with no whitespace and no ",": cone
+    JSON keys and the CLI's id lists join ids with ","."""
+    return isinstance(n, str) and n.split() == [n] and "," not in n
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -91,7 +97,7 @@ class GDag:
     __slots__ = (
         "nodes", "edges", "names", "kinds", "index",
         "parent_mask", "child_mask", "anc_mask", "desc_mask",
-        "all_mask", "observed_mask", "_topo", "_hash",
+        "all_mask", "observed_mask", "_topo",
     )
 
     def __init__(
@@ -108,8 +114,7 @@ class GDag:
         if len(index) != len(names):
             raise GraphError("duplicate node id")
         for n in names:
-            # True exactly when n is empty or contains whitespace.
-            if n.split() != [n]:
+            if not _is_node_id(n):
                 raise GraphError(f"bad node id {n!r}")
         self.names = names
         self.kinds = tuple([k for _, k in self.nodes])
@@ -146,7 +151,6 @@ class GDag:
                 m |= desc[c]
             desc[i] = m
         self.desc_mask = tuple(desc)
-        self._hash = hash((self.nodes, frozenset(self.edges)))
 
     # -- identity ------------------------------------------------------
 
@@ -158,7 +162,7 @@ class GDag:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.nodes, frozenset(self.edges)))
 
     def __repr__(self) -> str:
         return f"GDag(nodes={self.nodes!r}, edges={self.edges!r})"

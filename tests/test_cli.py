@@ -492,13 +492,27 @@ def test_entropic_compare_triangle(tmp_path, capsys):
     assert monogamy in out["not_implied_by_independence"]
 
 
+COMMA_GRAPH = json.dumps({
+    "nodes": [{"id": "A,B", "kind": "observed"}, {"id": "C", "kind": "observed"}],
+    "edges": [],
+})
+
+
 def test_entropic_rejects_comma_in_node_id(tmp_path, capsys):
     gp = tmp_path / "comma.json"
-    gp.write_text(GDag([("A,B", NodeKind.OBSERVED), ("C", NodeKind.OBSERVED)]).to_json())
+    gp.write_text(COMMA_GRAPH)
     assert run(["entropic", str(gp)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "','" in err
+    assert "'A,B'" in err
+
+
+def test_dsep_rejects_comma_in_node_id(tmp_path, capsys):
+    """--x A,B names the ids A and B; no graph can hold an id "A,B"."""
+    gp = tmp_path / "comma.json"
+    gp.write_text(COMMA_GRAPH)
+    assert run(["dsep", str(gp), "--x", "A,B", "--y", "C"]) == 2
+    assert capsys.readouterr().err == "error: bad node id 'A,B'\n"
 
 
 def test_entropic_size_guard(tmp_path, capsys):

@@ -89,8 +89,11 @@ def test_cone_row_round_trip():
 
 
 @pytest.mark.parametrize(
-    "variables", [("A,B", "A", "B"), ("A,B", "C"), ("A", 1)],
-    ids=["comma-reads-as-other-names", "comma-reads-as-unknown-name", "not-a-string"],
+    "variables", [("A,B", "A", "B"), ("A,B", "C"), ("A", 1), ("A B",)],
+    ids=[
+        "comma-reads-as-other-names", "comma-reads-as-unknown-name", "not-a-string",
+        "whitespace",
+    ],
 )
 def test_cone_variable_must_be_a_string_without_comma(variables):
     """Subsets are written as their names joined by ",", so a name with a

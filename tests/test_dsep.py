@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from gdag_lab.catalog import (
 from gdag_lab.dsep import (
     CIStatement,
     CISet,
+    _observed_triples,
     ci_subset,
     d_separated,
     d_separated_via_partition,
@@ -184,6 +186,39 @@ def test_ci_subset_with_latents_matches_triple_scan(seed):
     h = g.without_edge(*rng.choice(g.edges))
     assert ci_subset(h, g) == ci_subset_oracle(h, g)
     assert ci_subset(g, h) == ci_subset_oracle(g, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 2 ** 7 - 1))
+def test_observed_triples_each_once(seed, observed):
+    """The submask walk yields every triple of the brute-force oracle
+    exactly once, with the lowest node of x | y in x."""
+    g = random_gdag(Random(seed), max_nodes=7)
+    g = GDag(
+        [(n, NodeKind.OBSERVED if observed >> i & 1 else NodeKind.UNOBSERVED)
+         for i, n in enumerate(g.names)],
+        g.edges,
+    )
+    k = len(g.observed_nodes())
+    triples = list(_observed_triples(g))
+    assert len(triples) == (4 ** k - 2 * 3 ** k + 2 ** k) // 2
+    for xm, ym, _ in triples:
+        assert (xm | ym) & -(xm | ym) & xm
+    walked = {
+        (frozenset({g.names_of(xm), g.names_of(ym)}), g.names_of(zm))
+        for xm, ym, zm in triples
+    }
+    assert len(walked) == len(triples)
+    assert walked == {(frozenset({x, y}), z) for x, y, z in all_observed_triples(g)}
+
+
+def test_extended_bell_ci_set_digest():
+    """The CI set of the extended Bell graph, byte for byte as pinned in
+    the benchmark's answers."""
+    text = observable_ci_set(extended_bell_gdag()).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9227b0d05faaa13f56c56a80ebe3ad2f8b4fd98266ba21722a6803ab84fdb17d"
+    )
 
 
 @settings(max_examples=300, deadline=None)

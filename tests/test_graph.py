@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,17 @@ def test_rejects_bad_node_id():
         GDag([("a b", OBS)])
     with pytest.raises(GraphError):
         GDag([("", OBS)])
+
+
+@pytest.mark.parametrize("bad", ["A,B", "A B"])
+def test_node_id_has_no_comma_or_whitespace(bad):
+    """Id lists join ids with ",", so a node id holds neither "," nor
+    whitespace, in GDag and in parse_gdag alike."""
+    with pytest.raises(GraphError, match=f"^bad node id {bad!r}$"):
+        GDag([(bad, OBS), ("C", OBS)])
+    text = json.dumps({"nodes": [{"id": bad, "kind": "observed"}], "edges": []})
+    with pytest.raises(GraphError, match=f"^bad node id {bad!r}$"):
+        parse_gdag(text)
 
 
 def test_masks_and_sets_agree():

@@ -1,5 +1,6 @@
 """Smoke tests for the reproduction scripts, each run as a subprocess."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gdag_lab.catalog import bell_gdag
+from gdag_lab.catalog import bell_gdag, triangle_gdag
+from gdag_lab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +75,16 @@ def test_derive_entropic_cones_bad_input_exits_2(tmp_path, graph_text, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == message.format(path=gp)
+
+
+def test_derive_entropic_cones_rows_match_the_cli(tmp_path, capsys):
+    """The script writes each row E_I does not imply as `entropic
+    --compare` does: its coefficient map, in the same order."""
+    gp = tmp_path / "triangle.json"
+    gp.write_text(triangle_gdag().to_json())
+    out = _run_script("derive_entropic_cones.py", str(gp))
+    rows = [line.strip() for line in out.splitlines() if line.startswith("    ")]
+    assert run(["entropic", str(gp), "--compare"]) == 0
+    listed = json.loads(capsys.readouterr().out)["not_implied_by_independence"]
+    assert len(rows) == 7
+    assert rows == [json.dumps(r["coeffs"]) for r in listed]
