@@ -14,10 +14,9 @@ import time
 from gdag_lab.catalog import bell_gdag, triangle_gdag
 from gdag_lab.cli import guarded, read_graph
 from gdag_lab.cones import (
-    Cone,
+    _not_implied,
     derive_classical_cone,
     derive_independence_cone,
-    implied_by,
 )
 
 
@@ -26,9 +25,7 @@ def analyze(name, g, progress, allow_large):
     ec = derive_classical_cone(g, allow_large=allow_large, progress=progress)
     ei = derive_independence_cone(g, allow_large=allow_large)
     dt = time.monotonic() - t0
-    extra = Cone(ec.variables, tuple(
-        r for r, ineq in zip(ec.rows, ec.ineqs()) if not implied_by(ineq, ei)
-    ))
+    extra = _not_implied(ec, ei)
     print(f"== {name} ({dt:.1f}s)")
     print(f"  classical cone: {len(ec.rows)} rows")
     print(f"  independence cone: {len(ei.rows)} rows")

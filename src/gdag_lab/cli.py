@@ -35,11 +35,10 @@ from .classify import reduce as reduce_gdag, sufficient_condition_holds
 from .catalog import instrumental_gdag, triangle_gdag
 from .enumeration import CENSUS_MAX_N, classification_census, isomorphic
 from .cones import (
-    Cone,
     ConeError,
+    _not_implied,
     derive_classical_cone,
     derive_independence_cone,
-    implied_by,
 )
 
 
@@ -243,9 +242,7 @@ def _cmd_entropic(args) -> int:
         "independence": json.loads(ei.to_json()),
     }
     if args.compare:
-        extra = Cone(ec.variables, tuple(
-            r for r, ineq in zip(ec.rows, ec.ineqs()) if not implied_by(ineq, ei)
-        ))
+        extra = _not_implied(ec, ei)
         out["not_implied_by_independence"] = json.loads(extra.to_json())["ineqs"]
     print(json.dumps(out))
     return 0

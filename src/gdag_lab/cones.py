@@ -26,12 +26,13 @@ MAX_CONE_NODES = 6
 _MAX_VARIABLES = 8
 
 
-#: Float threshold of the HiGHS proposal in ``_FloatRows.confirm``: an
-#: LP optimum above it proposes a Farkas vector; otherwise the row duals
-#: above it propose the multipliers of the target, and their support a
-#: smaller exact solve.  Each proposed value is rationalised to the
-#: first continued-fraction convergent within ``LP_TOL * max(1, |v|)``.
-#: It only chooses which exact check runs and never decides an answer.
+#: Float threshold of the HiGHS proposal in ``_FloatRows.confirm``, whose
+#: LP optimum is 0 or 1: one above it proposes a Farkas vector; otherwise
+#: the row duals above it propose the multipliers of the target, and
+#: their support a smaller exact solve.  Each proposed value is
+#: rationalised to the first continued-fraction convergent within
+#: ``LP_TOL * max(1, |v|)``.  It only chooses which exact check runs and
+#: never decides an answer.
 LP_TOL = 1e-9
 
 
@@ -257,10 +258,10 @@ def _numpy():
 
 
 class _HighsLp:
-    """max t.y  s.t.  r.y <= 0 for every row r of the float matrix
-    ``a``, -1 <= y <= 1: one HiGHS model, loaded once and re-solved from
-    the last basis for each objective t.  Presolve is off so that the
-    basis carries over from one solve to the next."""
+    """max t.y  s.t.  r.y <= u_r for every row r of the float matrix
+    ``a``, y free: one HiGHS model, loaded once with every u_r = 0 and
+    re-solved from the last basis for each objective t.  Presolve is
+    off so that the basis carries over from one solve to the next."""
 
     def __init__(self, np, a) -> None:
         from scipy.optimize._highspy import _core
@@ -273,8 +274,8 @@ class _HighsLp:
         lp = _core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = np.zeros(n)
-        lp.col_lower_ = np.full(n, -1.0)
-        lp.col_upper_ = np.ones(n)
+        lp.col_lower_ = np.full(n, -inf)
+        lp.col_upper_ = np.full(n, inf)
         lp.row_lower_ = np.full(m, -inf)
         lp.row_upper_ = np.zeros(m)
         nonzero = a != 0
@@ -287,13 +288,10 @@ class _HighsLp:
         highs.passModel(lp)
         self.cols = np.arange(n, dtype=np.int32)
 
-    def free(self, i: int) -> None:
-        """Lift row i's bound: the row no longer constrains y."""
-        self.highs.changeRowBounds(i, -inf, inf)
-
-    def bound(self, i: int) -> None:
-        """Restore row i's bound r.y <= 0."""
-        self.highs.changeRowBounds(i, -inf, 0.0)
+    def cap(self, i: int, upper: float) -> None:
+        """Set row i's bound to r.y <= upper: 0 for a live row, 1 for the
+        tested row, inf for a dropped one, which no longer constrains y."""
+        self.highs.changeRowBounds(i, -inf, upper)
 
     def solve(self, t) -> Optional[tuple[float, list[float], list[float]]]:
         """The optimum, the vertex y and the row duals (>= 0, one per
@@ -330,8 +328,8 @@ def _rows_implies(
     "implied" needs multipliers that combine to target in integers, or
     an exact solve on the proposed support; "not implied" an exact
     integer Farkas check.  The LP is a ``_FloatRows`` model with target
-    as its last row, freed.  Without SciPy, or when the proposal does
-    not verify, the exact simplex decides.
+    as its last row, the tested one.  Without SciPy, or when the
+    proposal does not verify, the exact simplex decides.
     """
     if not rows or not any(target):
         return not any(target)
@@ -389,9 +387,9 @@ class _FloatRows:
         return bool((self.positive[:, j] & (self.live_positive == 1)).any())
 
     def proposal(self, j: int) -> Optional[bool]:
-        """Row j against the other live rows: free row j, maximise row j
-        on the model and ``confirm`` the answer."""
-        self.lp.free(j)
+        """Row j against the other live rows: cap row j at r_j.y <= 1,
+        maximise row j on the model and ``confirm`` the answer."""
+        self.lp.cap(j, 1.0)
         self.live[j] = False
         solved = self.lp.solve(self.a[j])
         return None if solved is None else self.confirm(j, *solved)
@@ -400,13 +398,15 @@ class _FloatRows:
         self, j: int, optimum: float, vertex: list[float], duals: list[float]
     ) -> Optional[bool]:
         """Check what HiGHS proposes for  max r_j.y  s.t.  r.y <= 0 for
-        every live row r, -1 <= y <= 1: its ``optimum``, the ``vertex`` y
-        on the pass's coordinates and the ``duals``, one per row.
+        every live row r, r_j.y <= 1, y free: its ``optimum``, 0 or 1,
+        the ``vertex`` y on the pass's coordinates and the ``duals``, one
+        per row.
 
         A positive optimum proposes y as a Farkas vector: one product
         of the integer matrix with y must be positive on row j and on no
         live row.  A confirmed vector joins the pool.  An optimum of 0
-        proposes the live rows' duals as the multipliers of row j: their
+        proposes the live rows' duals as the multipliers of row j (y has
+        no bounds, so no column dual takes a share of r_j): their
         product with those rows must be a positive multiple of row j,
         and failing that an exact solve on their support decides.
         Returns the answer once an exact check confirms a proposal,
@@ -446,12 +446,10 @@ class _FloatRows:
         return True if _exact_implies(used, self.rows[j]) else None
 
     def settle(self, j: int, kept: bool) -> None:
-        """Row j's verdict: a kept row is live, its bound restored; a
-        dropped one stays free as its test left it (a zero row, never
-        tested, constrains nothing) and leaves the witness counts."""
-        if kept:
-            self.lp.bound(j)
-        elif self.positive is not None:
+        """Row j's verdict: a kept row is live, its bound r_j.y <= 0
+        restored; a dropped one is freed and leaves the witness counts."""
+        self.lp.cap(j, 0.0 if kept else inf)
+        if not kept and self.positive is not None:
             self.live_positive -= self.positive[:, j]
         self.live[j] = kept
 
@@ -604,3 +602,10 @@ def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
 def implied_by(ineq: LinIneq, c: Cone) -> bool:
     """True iff ineq is a nonnegative rational combination of c's rows."""
     return _rows_implies(list(c.rows), c.row_of(ineq))
+
+
+def _not_implied(c: Cone, by: Cone) -> Cone:
+    """The cone of c's rows that ``by`` does not imply, in c's order."""
+    return Cone(c.variables, tuple(
+        r for r, ineq in zip(c.rows, c.ineqs()) if not implied_by(ineq, by)
+    ))

@@ -382,10 +382,7 @@ def _fake_lp(mp, answer):
         def __init__(self, np, a):
             self.shape = a.shape
 
-        def free(self, i):
-            pass
-
-        def bound(self, i):
+        def cap(self, i, upper):
             pass
 
         def solve(self, t):
@@ -476,10 +473,10 @@ def _minimize_without_scipy(rows):
 @settings(max_examples=150, deadline=None)
 @given(_row_sets())
 def test_minimize_warm_model_matches_exact(rows):
-    """One pass's model frees each tested and each dropped row and
-    restores each kept one: every optimum it proposes equals a cold
-    ``linprog`` solve on the rows still live, and the rows kept equal
-    the exact simplex's with SciPy hidden."""
+    """One pass's model caps each tested row at 1, frees each dropped
+    row and restores each kept one: every optimum it proposes is 0 or 1
+    and equals a cold ``linprog`` solve on the rows still live, and the
+    rows kept equal the exact simplex's with SciPy hidden."""
     from scipy.optimize import linprog
 
     proposed = []
@@ -497,9 +494,13 @@ def test_minimize_warm_model_matches_exact(rows):
     assert proposed or len({r for r in rows if any(r)}) < 2
     for rest, target, optimum in proposed:
         cold = linprog(
-            [-t for t in target], A_ub=rest, b_ub=[0] * len(rest), bounds=(-1, 1)
+            [-t for t in target],
+            A_ub=rest + [target],
+            b_ub=[0] * len(rest) + [1],
+            bounds=(None, None),
         )
         assert optimum == pytest.approx(-cold.fun, abs=1e-7)
+        assert min(abs(optimum), abs(optimum - 1)) <= 1e-9
     assert kept == _minimize_without_scipy(rows)
 
 
@@ -582,6 +583,34 @@ def _cone_answers(g):
     return ec.to_json(), ei.to_json(), implied
 
 
+@pytest.mark.parametrize(
+    "make",
+    [bell_gdag, one_sided_bell_gdag, instrumental_gdag],
+    ids=["bell", "one_sided_bell", "instrumental"],
+)
+def test_catalog_cones_need_no_exact_solve(make, monkeypatch):
+    """Every HiGHS proposal on a catalog graph's cones verifies, and each
+    optimum is 0 (implied) or 1 (refuted at the capped tested row)."""
+    pytest.importorskip("scipy.optimize")
+    solve = cones._HighsLp.solve
+    optima = []
+
+    def spy(self, t):
+        solved = solve(self, t)
+        assert solved is not None, "HiGHS did not end optimal"
+        optima.append(solved[0])
+        return solved
+
+    def exact(*args):
+        raise AssertionError("an exact solve ran")
+
+    monkeypatch.setattr(cones._HighsLp, "solve", spy)
+    monkeypatch.setattr(cones, "_exact_implies", exact)
+    _cone_answers(make())
+    assert optima
+    assert all(min(abs(v), abs(v - 1)) <= 1e-9 for v in optima)
+
+
 @pytest.mark.parametrize("make", [one_sided_bell_gdag, instrumental_gdag])
 def test_cones_without_scipy_match(make, monkeypatch):
     """With scipy.optimize hidden the exact simplex decides every check,
@@ -596,7 +625,7 @@ def test_cones_without_scipy_match(make, monkeypatch):
 @pytest.mark.long_run
 def test_seven_node_classical_cone_pinned():
     """E_C of the extended Bell graph without its sink C (seven nodes,
-    three latent; 11-20 s with SciPy 1.17.1 on a shared 2-vCPU x86-64
+    three latent; 9-13 s with SciPy 1.17.1 on a shared 2-vCPU x86-64
     host)."""
     g = extended_bell_gdag().without_nodes(["C"])
     ec = derive_classical_cone(g, allow_large=True)
