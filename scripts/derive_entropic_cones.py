@@ -20,9 +20,9 @@ from gdag_lab.cones import (
 )
 
 
-def analyze(name, g, progress, allow_large):
+def analyze(name, g, allow_large):
     t0 = time.monotonic()
-    ec = derive_classical_cone(g, allow_large=allow_large, progress=progress)
+    ec = derive_classical_cone(g, allow_large=allow_large)
     ei = derive_independence_cone(g, allow_large=allow_large)
     dt = time.monotonic() - t0
     extra = _not_implied(ec, ei)
@@ -40,17 +40,16 @@ def analyze(name, g, progress, allow_large):
 def analyze_all(args) -> int:
     if args.graphs:
         for path in args.graphs:
-            analyze(path, read_graph(path), args.progress, args.long_run)
+            analyze(path, read_graph(path), args.long_run)
     else:
-        analyze("bell", bell_gdag(), args.progress, args.long_run)
-        analyze("triangle", triangle_gdag(), args.progress, args.long_run)
+        analyze("bell", bell_gdag(), args.long_run)
+        analyze("triangle", triangle_gdag(), args.long_run)
     return 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("graphs", nargs="*", help="graph JSON files")
-    ap.add_argument("--progress", action="store_true")
     ap.add_argument("--long-run", action="store_true")
     return guarded(analyze_all, ap.parse_args())
 

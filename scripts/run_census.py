@@ -20,7 +20,7 @@ def census_table(args) -> int:
     print("n,total,condition_holds,survivors")
     for n in range(1, args.max_n + 1):
         t0 = time.monotonic()
-        report = classification_census(n, progress=args.progress)
+        report = classification_census(n)
         dt = time.monotonic() - t0
         print(report.csv_row(), flush=True)
         print(f"# n={n} took {dt:.1f}s", file=sys.stderr)
@@ -32,7 +32,6 @@ def census_table(args) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=5)
-    ap.add_argument("--progress", action="store_true")
     return guarded(census_table, ap.parse_args())
 
 

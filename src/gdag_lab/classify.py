@@ -193,10 +193,13 @@ def _place(
 
     ``t`` loses every parent in ``later`` and every unobserved parent but
     ``root``.  Then each ``j`` in ``later``, in the given order, gains the
-    edge t -> j when Pa(t) is a subset of Pa(j) and j is not an ancestor
-    of t; the rule's unobserved parent is ``root``.  Only the masks of
-    ``t`` and of ``later`` change.  When ``steps`` is given, the removals
-    (ascending parent index) and the additions are appended to it.
+    edge t -> j when Pa(t) is a subset of Pa(j); the rule's unobserved
+    parent is ``root``.  No acyclicity test is needed: were j an ancestor
+    of t, the last edge p -> t of that path would put p in Pa(t), a
+    subset of Pa(j), giving a self-loop (p = j) or a cycle j ~> p -> j.
+    Only the masks of ``t`` and of ``later`` change.  When ``steps`` is
+    given, the removals (ascending parent index) and the additions are
+    appended to it.
     """
     later_mask = 0
     for j in later:
@@ -205,21 +208,8 @@ def _place(
     pt = par[t] = par[t] & ~drop
     if steps is not None:
         steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
-    # Adding t -> j changes no ancestor of t, so one walk serves every j.
-    anc = -1
     for j in later:
         if (par[j] >> t) & 1 or pt & ~par[j]:
-            continue
-        if anc < 0:
-            anc = 0
-            frontier = pt
-            while frontier:
-                anc |= frontier
-                new = 0
-                for k in _bits(frontier):
-                    new |= par[k]
-                frontier = new & ~anc
-        if (anc >> j) & 1:
             continue
         par[j] |= 1 << t
         if steps is not None:

@@ -228,14 +228,14 @@ def _cmd_census(args) -> int:
         raise CliError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
     if args.n >= 6 and not args.long_run:
         raise CliError(f"census --n {args.n} requires --long-run")
-    report = classification_census(args.n, progress=args.progress)
+    report = classification_census(args.n)
     print(report.csv_row())
     return 0
 
 
 def _cmd_entropic(args) -> int:
     g = read_graph(args.graph)
-    ec = derive_classical_cone(g, allow_large=args.long_run, progress=args.progress)
+    ec = derive_classical_cone(g, allow_large=args.long_run)
     ei = derive_independence_cone(g, allow_large=args.long_run)
     out = {
         "classical": json.loads(ec.to_json()),
@@ -285,14 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="classification census CSV row")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--long-run", action="store_true")
-    sp.add_argument("--progress", action="store_true")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("entropic", help="derive E_C and E_I")
     sp.add_argument("graph")
     sp.add_argument("--compare", action="store_true")
     sp.add_argument("--long-run", action="store_true")
-    sp.add_argument("--progress", action="store_true")
     sp.set_defaults(func=_cmd_entropic)
 
     return p

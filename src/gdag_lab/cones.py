@@ -545,9 +545,7 @@ def _check_size(g: GDag, allow_large: bool) -> None:
         )
 
 
-def derive_classical_cone(
-    g: GDag, allow_large: bool = False, progress: bool = False
-) -> Cone:
+def derive_classical_cone(g: GDag, allow_large: bool = False) -> Cone:
     """E_C: Shannon cone over all nodes plus entropic Markov rows,
     projected onto observed-subset coordinates."""
     _check_size(g, allow_large)
@@ -562,18 +560,10 @@ def derive_classical_cone(
     kept: frozenset[tuple[int, ...]] = frozenset()
     # Farkas vectors confirmed at every step, over g's subsets
     pool: set = set()
-    for step, m in enumerate(latent_coords):
+    for m in latent_coords:
         rows = _eliminate_coord(rows, m - 1)
         rows = _minimize(rows, kept, pool)
         kept = frozenset(rows)
-        if progress:
-            import sys
-
-            print(
-                f"  eliminated {step + 1}/{len(latent_coords)} coordinates, "
-                f"{len(rows)} rows",
-                file=sys.stderr,
-            )
     projected = _restrict(rows, g.observed_mask)
     # restriction renames coordinates only, so kept rows stay irredundant
     kept = frozenset(projected) if latent_coords else frozenset()

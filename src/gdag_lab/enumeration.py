@@ -22,7 +22,6 @@ classes first occur in the labelled scan (see ``_scan_rank``).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter
@@ -324,7 +323,7 @@ class CensusReport:
         return f"{self.n},{self.total},{self.condition_holds},{len(self.survivors)}"
 
 
-def classification_census(n: int, progress: bool = False) -> CensusReport:
+def classification_census(n: int) -> CensusReport:
     """Classify every n-node GDAG up to isomorphism.
 
     ``total`` counts isomorphism classes, ``condition_holds`` those
@@ -346,9 +345,7 @@ def classification_census(n: int, progress: bool = False) -> CensusReport:
     total = 0
     holds = 0
     failures: list[int] = []
-    for i, (key, masks) in enumerate(_enumerate_classes(n)):
-        if progress and i and i % 2000 == 0:
-            print(f"  examined {i} classes", file=sys.stderr)
+    for key, masks in _enumerate_classes(n):
         total += 1
         if _holds(cond, key, masks):
             holds += 1

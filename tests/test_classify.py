@@ -31,6 +31,7 @@ from gdag_lab.classify import (
     RemoveIsolatedUnobserved,
     TransformError,
     _closure,
+    _place,
     _winning_branch,
     apply_reduction,
     apply_transformation,
@@ -40,7 +41,7 @@ from gdag_lab.classify import (
 )
 from gdag_lab.dsep import ci_subset, d_separated
 from gdag_lab.enumeration import enumerate_gdags
-from gdag_lab.graph import GDag, NodeKind
+from gdag_lab.graph import GDag, NodeKind, _ready_order
 
 from generators import latent_chain, random_gdag
 from oracles import (
@@ -195,6 +196,30 @@ def test_closure_matches_fixpoint_oracle(seed, p_unobserved):
     closed, oracle_steps = closure_oracle(g)
     assert steps == oracle_steps
     assert tuple(par) == closed.parent_mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_place_keeps_parent_masks_acyclic(seed):
+    """A parent-subset edge t -> j never closes a cycle, so placements
+    with no acyclicity test keep the closed parent masks a DAG."""
+    rng = Random(seed)
+    g = random_gdag(rng, max_nodes=8, p_unobserved=0.4)
+    n = len(g.names)
+    unobs = g.all_mask & ~g.observed_mask
+    par = _closure(g)
+    for _ in range(3):
+        t = rng.randrange(n)
+        later = [j for j in range(n) if j != t and rng.random() < 0.5]
+        rng.shuffle(later)
+        before = list(par)
+        _place(par, t, rng.randrange(n), later, unobs)
+        list(_ready_order(par, g.all_mask))
+        for j in range(n):
+            if j != t and j not in later:
+                assert par[j] == before[j]
+        for j in later:
+            assert par[j] & ~before[j] in (0, 1 << t)
 
 
 def test_single_latent_common_cause():

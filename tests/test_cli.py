@@ -53,6 +53,8 @@ def test_dsep_witness(bell_path, capsys):
     w = json.loads(lines[1])
     assert set(w) == {"u", "v", "z", "w"}
     assert "X" in w["u"] and "Y" in w["v"]
+    assert run(["dsep", bell_path, "--x", "A", "--y", "B", "--z", "X,Y", "--witness"]) == 0
+    assert capsys.readouterr().out == "false\n"
 
 
 def test_dsep_rejects_bad_sets(bell_path, capsys):
@@ -164,12 +166,22 @@ def test_check_dist_conditional_ids_by_role(tmp_path, capsys):
 
 
 def test_check_dist_conditional_only_on_instrumental(tmp_path, capsys, bell_path):
-    """The instrumental inequality bounds only the instrumental graph, so
-    a family checked against Bell is bad input, not a violation."""
+    """The instrumental inequality bounds only the instrumental graph and
+    a family given the instrument alone, so a family checked against Bell,
+    or given two nodes, is bad input, not a violation."""
     assert run(["check-dist", bell_path, _instrumental_violation(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    gp = tmp_path / "instrumental.json"
+    gp.write_text(instrumental_gdag().to_json())
+    fam = ConditionalDistribution(
+        (("A", 2), ("B", 2)), (("Y", 2), ("U", 2)), (F(1, 4),) * 16
+    )
+    assert run(["check-dist", str(gp), _dist_path(tmp_path, fam)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: conditional distributions need exactly one given\n"
 
 
 def test_ineq_triangle(tmp_path, capsys):
@@ -246,6 +258,7 @@ def _chain_point(cards, probs) -> str:
             ["1", "0", "0/1", "0/2", "0/3", "0/4", "0/5", "0/6"], 0))),
         (["ineq", "triangle"], THREE_VARS[:-1] + ', "given": ""}'),
         (["ineq", "triangle"], THREE_VARS.replace('"1/8"', '"1_000/8000"', 1)),
+        (["ineq", "triangle"], TWO_VAR_FAMILY),
     ],
     ids=[
         "vars-differ", "json-number", "triangle-2-vars", "instrumental-1-var",
@@ -254,7 +267,7 @@ def _chain_point(cards, probs) -> str:
         "zero-denominator", "instrumental-zero-denominator", "zero-given-card",
         "deep-nesting", "ineq-deep-nesting", "huge-int", "exponent",
         "ineq-exponent", "string-probs", "object-probs", "string-given",
-        "underscore-digits",
+        "underscore-digits", "triangle-family",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, dist_text):
@@ -525,10 +538,12 @@ def test_entropic_size_guard(tmp_path, capsys):
     assert "long-run" in capsys.readouterr().err
 
 
-def test_missing_file_and_bad_usage(capsys):
+def test_missing_file_and_bad_usage(capsys, bell_path):
     assert run(["dsep", "/no/such/file", "--x", "A", "--y", "B"]) == 2
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+    assert run(["census", "--n", "3", "--progress"]) == 2
+    assert run(["entropic", bell_path, "--progress"]) == 2
 
 
 def test_module_entry_point_exits_2_on_bad_input(tmp_path):

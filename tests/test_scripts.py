@@ -46,6 +46,12 @@ def test_run_census_size_guard_exits_2(max_n):
     assert proc.stderr == "error: census supports 1 <= n <= 6\n"
 
 
+def test_run_census_refuses_unknown_flags():
+    proc = _script("run_census.py", "--progress")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 def test_derive_entropic_cones_on_a_graph_file(tmp_path):
     gp = tmp_path / "bell.json"
     gp.write_text(bell_gdag().to_json())
