@@ -122,7 +122,7 @@ def apply_transformation(g: GDag, t: Transformation) -> GDag:
             raise TransformError(f"Pa({t.a!r}) is not a subset of Pa({t.b!r})")
         if not pa & ~g.observed_mask:
             raise TransformError(f"Pa({t.a!r}) contains no unobserved node")
-        if (g.desc_mask[ib] >> ia) & 1:
+        if (g.anc_mask[ia] >> ib) & 1:
             raise TransformError(f"adding ({t.a!r}, {t.b!r}) would create a cycle")
         return g.with_edge(t.a, t.b)
 
@@ -168,24 +168,19 @@ class Certificate:
 # -- the certificate search over orderings and root assignments ---------
 
 
-def _closure(g: GDag, steps: Optional[list[Transformation]] = None) -> list[int]:
+def _closure(g: GDag) -> list[int]:
     """Maximal application of the unobserved-path edge addition: the
-    closed parent masks, with the added steps appended to ``steps`` when
-    it is given.  One pass suffices, as an added a -> b changes no
-    node's reach through unobserved nodes."""
+    closed parent masks.  One pass suffices, as an added a -> b changes
+    no node's reach through unobserved nodes."""
     par = list(g.parent_mask)
     for a in range(len(g.names)):
         for b in _bits(_unobs_reachable(g, a) & ~g.child_mask[a]):
             par[b] |= 1 << a
-            if steps is not None:
-                steps.append(AddEdgeUnobservedPath(g.names[a], g.names[b]))
     return par
 
 
 def _place(
-    par: list[int], t: int, root: int, later: Sequence[int], unobs: int,
-    names: Optional[tuple[str, ...]] = None,
-    steps: Optional[list[Transformation]] = None,
+    par: list[int], t: int, root: int, later: Sequence[int], unobs: int
 ) -> None:
     """Place tricky node ``t`` with its chosen ``root``, updating the
     parent masks ``par`` in place; ``later`` lists the tricky nodes not
@@ -197,44 +192,16 @@ def _place(
     parent is ``root``.  No acyclicity test is needed: were j an ancestor
     of t, the last edge p -> t of that path would put p in Pa(t), a
     subset of Pa(j), giving a self-loop (p = j) or a cycle j ~> p -> j.
-    Only the masks of ``t`` and of ``later`` change.  When ``steps`` is
-    given, the removals (ascending parent index) and the additions are
-    appended to it.
+    Only the masks of ``t`` and of ``later`` change.
     """
     later_mask = 0
     for j in later:
         later_mask |= 1 << j
-    drop = par[t] & (later_mask | (unobs & ~(1 << root)))
-    pt = par[t] = par[t] & ~drop
-    if steps is not None:
-        steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(drop))
+    pt = par[t] = par[t] & ~(later_mask | (unobs & ~(1 << root)))
     for j in later:
         if (par[j] >> t) & 1 or pt & ~par[j]:
             continue
         par[j] |= 1 << t
-        if steps is not None:
-            steps.append(AddEdgeParentSubset(names[t], names[j]))
-
-
-def _simulate_branch(
-    g: GDag, par: list[int], order: tuple[int, ...], roots: tuple[int, ...],
-    steps: list[Transformation],
-) -> None:
-    """Append to ``steps`` the transformations of one branch, simulated
-    on the closed parent masks ``par`` of ``g``: each tricky node's
-    parent removals and parent-subset additions, then the removal of
-    every edge touching a latent and of every latent node, each group in
-    ascending node index."""
-    par = list(par)
-    names = g.names
-    unobs = g.all_mask & ~g.observed_mask
-    for i, t in enumerate(order):
-        _place(par, t, roots[i], order[i + 1:], unobs, names, steps)
-    for c, pm in enumerate(par):
-        if not (unobs >> c) & 1:
-            pm &= unobs
-        steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
-    steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
 
 
 def _passes(g: GDag, par: list[int], tried: dict[tuple[int, ...], bool]) -> bool:
@@ -331,15 +298,35 @@ def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:
     """Return a certificate for the C = I condition, or None.
 
     The certificate is the first winning branch (see ``_winning_branch``)
-    written out as steps: the closure's edge additions, then the branch
-    simulated on the closed parent masks.
+    written out as steps read off the parent masks before and after the
+    closure and each placement, then the removal of every edge touching a
+    latent and of every latent node.
     """
     win = _winning_branch(g)
     if win is None:
         return None
-    steps: list[Transformation] = []
-    par = _closure(g, steps)
-    _simulate_branch(g, par, *win, steps)
+    order, roots = win
+    names = g.names
+    unobs = g.all_mask & ~g.observed_mask
+    par = _closure(g)
+    steps: list[Transformation] = [
+        AddEdgeUnobservedPath(names[a], names[b])
+        for a in range(len(names)) for b in range(len(names))
+        if ((par[b] & ~g.parent_mask[b]) >> a) & 1
+    ]
+    for i, t in enumerate(order):
+        before = list(par)
+        _place(par, t, roots[i], order[i + 1:], unobs)
+        steps.extend(RemoveEdge(names[p], names[t]) for p in _bits(before[t] & ~par[t]))
+        steps.extend(
+            AddEdgeParentSubset(names[t], names[j])
+            for j in order[i + 1:] if par[j] != before[j]
+        )
+    for c, pm in enumerate(par):
+        if not (unobs >> c) & 1:
+            pm &= unobs
+        steps.extend(RemoveEdge(names[p], names[c]) for p in _bits(pm))
+    steps.extend(RemoveIsolatedUnobserved(names[n]) for n in _bits(unobs))
     return Certificate(g, tuple(steps))
 
 

@@ -82,9 +82,6 @@ class LinIneq:
             raise ConeError("empty subset in inequality")
         object.__setattr__(self, "coeffs", clean)
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -205,7 +202,8 @@ def _markov_rows(g: GDag) -> list[tuple[int, ...]]:
     for i in range(len(g.names)):
         x = 1 << i
         pa = g.parent_mask[i]
-        nd = g.all_mask & ~g.desc_mask[i] & ~x & ~pa
+        desc = sum(1 << j for j, a in enumerate(g.anc_mask) if (a >> i) & 1)
+        nd = g.all_mask & ~desc & ~x & ~pa
         if nd:
             rows.append(_cmi_row(size, x, nd, pa, -1))
     return rows

@@ -54,17 +54,6 @@ class CISet:
     def __iter__(self) -> Iterator[CIStatement]:
         return iter(sorted(self._stmts, key=CIStatement.sort_key))
 
-    def __len__(self) -> int:
-        return len(self._stmts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CISet):
-            return NotImplemented
-        return self._stmts == other._stmts
-
-    def __hash__(self) -> int:
-        return hash(self._stmts)
-
     def __le__(self, other: "CISet") -> bool:
         return self._stmts <= other._stmts
 

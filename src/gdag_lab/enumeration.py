@@ -208,7 +208,7 @@ class _ClassMasks:
         # The canonical form numbers its observed nodes first.
         self.observed_mask = (1 << kinds.count(0)) - 1
         self.child_mask = tuple(child_mask)
-        self.parent_mask, _, self.anc_mask = _masks_of_children(child_mask)
+        self.parent_mask, self.anc_mask = _masks_of_children(child_mask)
 
 
 def _enumerate_classes(n: int) -> Iterator[tuple[int, _ClassMasks]]:

@@ -60,28 +60,26 @@ def _ready_order(
 
 def _masks_of_children(
     child_mask: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(parent masks, topological order, ancestor masks) of the graph
-    whose node v has the children ``child_mask[v]``; GraphError on a
-    cycle.  The order is ``_ready_order``'s, and node i's ancestor mask
-    includes i."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parent masks, ancestor masks) of the graph whose node v has the
+    children ``child_mask[v]``; GraphError on a cycle.  Node i's ancestor
+    mask includes i."""
     n = len(child_mask)
     parent_mask = [0] * n
     for v, c in enumerate(child_mask):
         bit = 1 << v
         for w in _bits(c):
             parent_mask[w] |= bit
-    # Tuples are built from lists: ``tuple(genexpr)`` starts at 10
-    # slots and resizes, so its tuples come from fresh memory yet die
-    # onto CPython's per-size free lists, which never shrink.
-    topo = tuple(list(_ready_order(parent_mask, (1 << n) - 1)))
     anc = [0] * n
-    for i in topo:
+    for i in _ready_order(parent_mask, (1 << n) - 1):
         m = 1 << i
         for p in _bits(parent_mask[i]):
             m |= anc[p]
         anc[i] = m
-    return tuple(parent_mask), topo, tuple(anc)
+    # Tuples are built from lists: ``tuple(genexpr)`` starts at 10
+    # slots and resizes, so its tuples come from fresh memory yet die
+    # onto CPython's per-size free lists, which never shrink.
+    return tuple(parent_mask), tuple(anc)
 
 
 class GDag:
@@ -96,8 +94,7 @@ class GDag:
 
     __slots__ = (
         "nodes", "edges", "names", "kinds", "index",
-        "parent_mask", "child_mask", "anc_mask", "desc_mask",
-        "all_mask", "observed_mask", "_topo",
+        "parent_mask", "child_mask", "anc_mask", "all_mask", "observed_mask",
     )
 
     def __init__(
@@ -107,15 +104,15 @@ class GDag:
     ):
         # Tuples are built from lists, as in ``_masks_of_children``.
         self.nodes: tuple[tuple[str, NodeKind], ...] = tuple(
-            [(str(n), k if type(k) is NodeKind else NodeKind(k)) for n, k in nodes]
+            [(n, k if type(k) is NodeKind else NodeKind(k)) for n, k in nodes]
         )
         names = tuple([n for n, _ in self.nodes])
-        index = {n: i for i, n in enumerate(names)}
-        if len(index) != len(names):
-            raise GraphError("duplicate node id")
         for n in names:
             if not _is_node_id(n):
                 raise GraphError(f"bad node id {n!r}")
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
+            raise GraphError("duplicate node id")
         self.names = names
         self.kinds = tuple([k for _, k in self.nodes])
         self.index = index
@@ -130,7 +127,6 @@ class GDag:
         child_mask = [0] * n
         checked = []
         for a, b in edges:
-            a, b = str(a), str(b)
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
                 raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
@@ -142,15 +138,7 @@ class GDag:
             checked.append((a, b))
         self.edges: tuple[tuple[str, str], ...] = tuple(checked)
         self.child_mask = tuple(child_mask)
-        self.parent_mask, self._topo, self.anc_mask = _masks_of_children(child_mask)
-
-        desc = [0] * n
-        for i in reversed(self._topo):
-            m = 1 << i
-            for c in _bits(child_mask[i]):
-                m |= desc[c]
-            desc[i] = m
-        self.desc_mask = tuple(desc)
+        self.parent_mask, self.anc_mask = _masks_of_children(child_mask)
 
     # -- identity ------------------------------------------------------
 
@@ -213,7 +201,8 @@ class GDag:
         return self.names_of(m)
 
     def topological_order(self) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in self._topo)
+        order = _ready_order(self.parent_mask, self.all_mask)
+        return tuple(self.names[i] for i in order)
 
     # -- derived graphs ------------------------------------------------
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 from .linprog import nonneg_combination
-from .models import ConditionalDistribution, Distribution, ModelError, entropy
+from .models import ConditionalDistribution, Distribution, ModelError
+from .models import entropy, mutual_information
 
 #: A monogamy margin above this many bits certifies a violation; smaller
 #: positive values are floating-point noise in the entropies.
@@ -25,8 +26,7 @@ def triangle_monogamy_margin(p: Distribution) -> float:
     """I(A:B) + I(B:C) - H(B) in bits; > 0 certifies p is not realizable
     in the triangle structure in any probabilistic theory."""
     a, b, c = _three_vars(p)
-    iab = entropy(p, {a}) + entropy(p, {b}) - entropy(p, {a, b})
-    ibc = entropy(p, {b}) + entropy(p, {c}) - entropy(p, {b, c})
+    iab, ibc = mutual_information(p, {a}, {b}), mutual_information(p, {b}, {c})
     return iab + ibc - entropy(p, {b})
 
 

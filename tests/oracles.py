@@ -21,7 +21,6 @@ from gdag_lab.classify import (
     RemoveEdge,
     RemoveIsolatedUnobserved,
     TransformError,
-    _closure,
     _component_of,
     apply_transformation,
 )
@@ -253,8 +252,8 @@ def search_oracle(g: GDag) -> Optional[Certificate]:
     tricky nodes times every root assignment, in that order, each final
     graph tested with the triple scan; the first winner or None.  The
     reference for the state search of ``sufficient_condition_holds``."""
-    step1 = []
-    par = _closure(g, step1)
+    closed, step1 = closure_oracle(g)
+    par = list(closed.parent_mask)
     unobs = g.all_mask & ~g.observed_mask
     n = len(g.names)
     tricky = [i for i in range(n) if (g.observed_mask >> i) & 1 and par[i] & unobs]
