@@ -122,7 +122,9 @@ def apply_transformation(g: GDag, t: Transformation) -> GDag:
             raise TransformError(f"Pa({t.a!r}) is not a subset of Pa({t.b!r})")
         if not pa & ~g.observed_mask:
             raise TransformError(f"Pa({t.a!r}) contains no unobserved node")
-        if (g.anc_mask[ia] >> ib) & 1:
+        # Pa(a) within Pa(b) rules out b ~> a for a != b: that path's last
+        # edge p -> a gives p -> b, a self-loop or a cycle b ~> p -> b.
+        if t.a == t.b:
             raise TransformError(f"adding ({t.a!r}, {t.b!r}) would create a cycle")
         return g.with_edge(t.a, t.b)
 
@@ -273,7 +275,8 @@ def _winning_branch(g) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     masks, and no graph is built.  ``g`` is read only through its node
     count (``len(g.names)``), ``all_mask``, ``observed_mask``,
     ``parent_mask``, ``child_mask`` and ``anc_mask``, so the census
-    passes the masks it decodes from a class key instead of a GDag.
+    passes the masks of each class's first sink extension instead of a
+    GDag.
     """
     par = _closure(g)
     unobs = g.all_mask & ~g.observed_mask

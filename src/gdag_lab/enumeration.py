@@ -7,11 +7,13 @@ canonical key (the first step of isomorph-free generation by canonical
 augmentation, McKay 1998).  Classes therefore come in sink-extension
 order, not in the order of a scan over labelled graphs.  A canonical key
 is one int that also encodes the node count (see ``_code_of_masks``), so
-keys of graphs of different sizes never collide.
+keys of graphs of different sizes never collide.  The extensions of one
+class share its masks and its relabelling sums (see ``_extensions``).
 
 The census decides the C = I sufficient condition for every isomorphism
-class on the masks decoded from its key, with no graph and no
-certificate built for a class that passes.  Survivors are the
+class on the masks of the extension that first met it: the smaller
+class's masks plus the sink, with its own key not decoded and no graph
+or certificate built when it passes.  Survivors are the
 condition-failing graphs from which no strictly smaller
 condition-failing graph can be reached by reduction rules; the
 one-outcome observed-node removal rule participates in that search
@@ -23,9 +25,10 @@ classes first occur in the labelled scan (see ``_scan_rank``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
-from operator import itemgetter
-from typing import Iterator, Sequence
+from operator import add, itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import GDag, NodeKind, _bits, _masks_of_children
 from .classify import _winning_branch, applicable_reductions, apply_reduction
@@ -33,9 +36,9 @@ from .classify import _winning_branch, applicable_reductions, apply_reduction
 # name; the census itself asks only ``_winning_branch``.
 from .classify import sufficient_condition_holds  # noqa: F401
 
-#: The largest census that finishes: n = 6 takes most of a minute, while
-#: n = 7 would key about 46M sink extensions of up to 7! relabellings
-#: each.  Key tables (see ``_TABLES``) are kept up to this size.
+#: The largest census: n = 6 takes about 20 s, while n = 7 would key
+#: about 46M sink extensions against up to 7! relabellings each.  Key
+#: tables (see ``_TABLES``) are kept up to this size.
 CENSUS_MAX_N = 6
 
 #: Node names used for generated graphs, shortest first.
@@ -151,20 +154,64 @@ def isomorphic(g: GDag, h: GDag) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-def _sink_extensions(m: int, base: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(kinds, child masks) of every graph made from the m-node class
-    with key ``base`` by adding node m as a sink: first observed, then
-    unobserved, and for each kind every parent set, as the bitmask
-    ``parents`` counts up from 0."""
-    base_kinds, base_mask = _masks_of_code(m, base)
+class _ClassMasks(NamedTuple):
+    """The masks of one labelling of a class that ``_winning_branch``
+    reads, each equal to the same attribute of the GDag with these nodes
+    and edges, at a fraction of its cost."""
+
+    names: tuple[str, ...]
+    all_mask: int
+    observed_mask: int
+    parent_mask: tuple[int, ...]
+    child_mask: tuple[int, ...]
+    anc_mask: tuple[int, ...]
+
+
+def _extensions(m: int, base: int) -> Iterator[tuple[list[int], partial[_ClassMasks]]]:
+    """The graphs made from the m-node class with key ``base`` by adding
+    node m as a sink: per sink kind, observed first, their keys by parent
+    set p = 0, 1, ..., 2**m - 1 and a function of p giving their masks.
+
+    Each kind numbers the nodes observed first as ``_code_of_masks``
+    does and sums each relabelling row over the base's edge slots once;
+    p's sums are those of ``p ^ low`` plus the column of the edge from
+    p's lowest parent ``low``, and ``head | min(sums)`` is the int
+    ``_code_of_masks`` gives.  The masks are the base's canonical form
+    plus the sink, whose ancestors are built from ``p ^ low`` alike.
+    """
+    n = m + 1
+    kinds, child = _masks_of_code(m, base)
+    k = kinds.count(0)
+    parent, anc = _masks_of_children(child)
+    sink = 1 << m
+    sink_anc = [sink]
+    for p in range(1, sink):
+        low = p & -p
+        sink_anc.append(sink_anc[p ^ low] | anc[low.bit_length() - 1])
+    names, all_mask = tuple(_NAMES[:n]), (1 << n) - 1
+
+    def masks(kind: int, p: int) -> _ClassMasks:
+        observed = (1 << k) - 1 if kind else (1 << k) - 1 | sink
+        ext = [c | (p >> v & 1) << m for v, c in enumerate(child)] + [0]
+        return _ClassMasks(
+            names, all_mask, observed, parent + (p,), tuple(ext), anc + (sink_anc[p],)
+        )
+
     for kind in (0, 1):
-        kinds = base_kinds + [kind]
-        for parents in range(1 << m):
-            child_mask = [
-                c | (((parents >> v) & 1) << m) for v, c in enumerate(base_mask)
-            ]
-            child_mask.append(0)
-            yield kinds, child_mask
+        # An observed sink is numbered k, and the base's latents move up.
+        at = list(range(n)) if kind else [*range(k), *range(k + 1, n), k]
+        obs = k + 1 - kind
+        head = (2 << n | obs) << (n * n)
+        rows = _table((n, obs or n), _relabellings)
+        total = [0] * len(rows)
+        for s in [n * at[v] + at[w] for v in range(m) for w in _bits(child[v])]:
+            total = list(map(add, total, map(itemgetter(s), rows)))
+        column = [list(map(itemgetter(n * at[v] + at[m]), rows)) for v in range(m)]
+        sums = [total]
+        for p in range(1, sink):
+            low = p & -p
+            sums.append(list(map(add, sums[p ^ low], column[low.bit_length() - 1])))
+        yield [head | min(s) for s in sums], partial(masks, kind)
 
 
 def _class_codes(n: int) -> Iterator[int]:
@@ -174,67 +221,42 @@ def _class_codes(n: int) -> Iterator[int]:
     Every DAG has a sink, and deleting it leaves an (n-1)-node DAG, so
     every n-node class is an (n-1)-node class plus a new sink of either
     kind with some parent set.  Only the (n-1)-node keys are held as a
-    list; every extension of each is keyed, and the n-node keys are
-    yielded as they are first seen.  The recursion starts from the one
-    empty graph.
+    list; every extension of each is keyed (see ``_extensions``), and
+    the n-node keys are yielded as first seen, from the empty graph up.
     """
     if n == 0:
         yield _code_of_masks([], [])
         return
     seen: set[int] = set()
     for base in list(_class_codes(n - 1)):
-        for kinds, child_mask in _sink_extensions(n - 1, base):
-            code = _code_of_masks(kinds, child_mask)
-            if code not in seen:
-                seen.add(code)
-                yield code
-
-
-class _ClassMasks:
-    """The masks of a class's canonical form that ``_winning_branch``
-    reads, decoded from its key: node count (as ``names``), all and
-    observed masks, and each node's parents, children and inclusive
-    ancestors.  Each equals the same attribute of the GDag that
-    ``_graph_of_key`` builds, at a fraction of its cost."""
-
-    __slots__ = (
-        "names", "all_mask", "observed_mask", "parent_mask", "child_mask", "anc_mask",
-    )
-
-    def __init__(self, n: int, key: int):
-        kinds, child_mask = _masks_of_code(n, key)
-        self.names = tuple(_NAMES[:n])
-        self.all_mask = (1 << n) - 1
-        # The canonical form numbers its observed nodes first.
-        self.observed_mask = (1 << kinds.count(0)) - 1
-        self.child_mask = tuple(child_mask)
-        self.parent_mask, self.anc_mask = _masks_of_children(child_mask)
+        for keys, _ in _extensions(n - 1, base):
+            for key in keys:
+                if key not in seen:
+                    seen.add(key)
+                    yield key
 
 
 def _enumerate_classes(n: int) -> Iterator[tuple[int, _ClassMasks]]:
-    """(canonical key, masks of the canonical form) of every n-node
-    isomorphism class, built by sink extension from the (n-1)-node
-    classes (see ``_class_codes``).  No GDag is built: the census
-    decides each class on its masks and rebuilds a graph by key only
-    for the classes that fail.
-
-    The classes do not come in the order of a scan over labelled
-    graphs; ``classification_census`` restores that order for its
-    survivors with ``_scan_rank``.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    for key in _class_codes(n):
-        yield key, _ClassMasks(n, key)
+    """(canonical key, masks) of every n-node isomorphism class in the
+    order of ``_class_codes``; the masks are those of the sink extension
+    that first met the class (see ``_extensions``), not of its key's
+    canonical form.  No class key is decoded and no GDag is built."""
+    seen: set[int] = set()
+    for base in list(_class_codes(n - 1)):
+        for keys, masks in _extensions(n - 1, base):
+            for p, key in enumerate(keys):
+                if key not in seen:
+                    seen.add(key)
+                    yield key, masks(p)
 
 
 def enumerate_gdags(n: int) -> Iterator[GDag]:
-    """All GDAGs on n nodes, one per kind-preserving isomorphism class,
-    in sink-extension order (see ``_class_codes``)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for key in _class_codes(n):
-        yield _graph_of_key(n, key)
+    """All GDAGs on n nodes, 1 <= n <= CENSUS_MAX_N, one per
+    kind-preserving isomorphism class, in sink-extension order (see
+    ``_class_codes``)."""
+    if not 1 <= n <= CENSUS_MAX_N:
+        raise ValueError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
+    return (_graph_of_key(n, key) for key in _class_codes(n))
 
 
 def _scan_rank(g: GDag) -> tuple[int, int]:
@@ -324,7 +346,8 @@ class CensusReport:
 
 
 def classification_census(n: int) -> CensusReport:
-    """Classify every n-node GDAG up to isomorphism.
+    """Classify every n-node GDAG up to isomorphism, 1 <= n <=
+    CENSUS_MAX_N; ValueError for any other n, before a key is computed.
 
     ``total`` counts isomorphism classes, ``condition_holds`` those
     passing the C = I sufficient condition, and ``survivors`` the failing
@@ -335,12 +358,16 @@ def classification_census(n: int) -> CensusReport:
     since the search answers each failure alone (``cond`` only memoises
     the condition).
 
-    Each class is decided on the masks decoded from its key (see
-    ``_ClassMasks``), asking only whether a winning branch exists, so a
-    class that passes costs no GDag and no certificate.  Failures are
-    held as keys, not graphs, and each graph is rebuilt for its search:
-    a GDag takes about 1.2 KB, and n = 6 has 10,181 failures.
+    Each class is decided on the masks of its first sink extension (see
+    ``_enumerate_classes``), asking only whether a winning branch
+    exists, which does not depend on the labelling (``cond`` assumes as
+    much for the graphs of the survivor search).  A class that passes
+    costs no GDag and no certificate.  Failures are held as keys, not
+    graphs, and each graph is rebuilt for its search: a GDag takes about
+    1.2 KB, and n = 6 has 10,181 failures.
     """
+    if not 1 <= n <= CENSUS_MAX_N:
+        raise ValueError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
     cond: dict[int, bool] = {}
     total = 0
     holds = 0

@@ -12,22 +12,21 @@ from gdag_lab.classify import sufficient_condition_holds
 from gdag_lab.enumeration import (
     CENSUS_MAX_N,
     CensusReport,
-    _ClassMasks,
     _class_codes,
     _code_of_masks,
     _enumerate_classes,
+    _extensions,
     _graph_of_key,
     _holds,
     _masks_of_code,
     _reducible_to_smaller_failure,
     _scan_rank,
-    _sink_extensions,
     canonical_key,
     classification_census,
     enumerate_gdags,
     isomorphic,
 )
-from gdag_lab.graph import GDag, NodeKind
+from gdag_lab.graph import GDag, NodeKind, _masks_of_children
 
 from generators import random_gdag
 from oracles import canonical_key_oracle, labelled_scan_oracle
@@ -99,6 +98,10 @@ def test_canonical_key_matches_oracle_on_labelled_scan(n):
     assert [canonical_key(g) for g in ranked] == list(first_seen)
 
 
+def _kinds_of(masks) -> list[int]:
+    return [0 if (masks.observed_mask >> v) & 1 else 1 for v in range(len(masks.names))]
+
+
 def test_sink_extension_keys_match_oracle_at_n6():
     """A seeded sample of 6-node sink extensions (5-node class, kind of
     the new sink, parent set): the extended masks are the class's
@@ -108,15 +111,41 @@ def test_sink_extension_keys_match_oracle_at_n6():
     for _ in range(300):
         base = rng.choice(codes)
         kind, parents = rng.randrange(2), rng.randrange(1 << 5)
-        kinds, child_mask = list(_sink_extensions(5, base))[kind << 5 | parents]
+        keys, masks = list(_extensions(5, base))[kind]
+        ext = masks(parents)
         g5 = _graph_of_key(5, base)
         g = GDag(
             [*zip(g5.names, g5.kinds), ("F", _kind(kind))],
             [*g5.edges, *((g5.names[v], "F") for v in range(5) if (parents >> v) & 1)],
         )
-        assert kinds == [0 if k is OBS else 1 for k in g.kinds]
-        assert tuple(child_mask) == g.child_mask
-        assert _code_of_masks(kinds, child_mask) == canonical_key_oracle(g)
+        assert _kinds_of(ext) == [0 if k is OBS else 1 for k in g.kinds]
+        assert ext.child_mask == g.child_mask
+        assert keys[parents] == canonical_key_oracle(g)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_extension_keys_match_code_of_masks(m):
+    """Every extension of every m-node class, in order (observed sink,
+    then latent; parent sets counting up): its masks are the base's
+    canonical form plus the sink, with the parents and ancestors of
+    their child masks, and its key from the shared relabelling sums is
+    ``_code_of_masks`` on them."""
+    for base in _class_codes(m):
+        base_kinds, base_child = _masks_of_code(m, base)
+        extensions = list(_extensions(m, base))
+        assert len(extensions) == 2
+        for kind, (keys, masks) in enumerate(extensions):
+            assert len(keys) == 1 << m
+            for parents, key in enumerate(keys):
+                ext = masks(parents)
+                child_mask = [
+                    c | (((parents >> v) & 1) << m) for v, c in enumerate(base_child)
+                ]
+                assert _kinds_of(ext) == base_kinds + [kind]
+                child_mask.append(0)
+                assert list(ext.child_mask) == child_mask
+                assert (ext.parent_mask, ext.anc_mask) == _masks_of_children(child_mask)
+                assert key == _code_of_masks(_kinds_of(ext), ext.child_mask)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -142,21 +171,26 @@ def test_census_survivors_in_scan_order(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_masks_decide_as_graphs(n):
-    """Every n-node class: the masks the census decides on equal the
-    same attributes of the GDag of its key, and the census's answer on
-    them is whether ``sufficient_condition_holds`` finds a certificate
-    for that GDag."""
+    """Every n-node class: the masks the census decides on are a
+    labelling of its key, with the parents and ancestors of their child
+    masks, and the census's answer on them is whether
+    ``sufficient_condition_holds`` finds a certificate for the GDag of
+    the key."""
     for key, masks in _enumerate_classes(n):
+        assert masks.names == tuple("ABCDE"[:n])
+        assert masks.all_mask == (1 << n) - 1
+        assert _code_of_masks(_kinds_of(masks), masks.child_mask) == key
+        parent_mask, anc_mask = _masks_of_children(masks.child_mask)
+        assert masks.parent_mask == parent_mask
+        assert masks.anc_mask == anc_mask
         g = _graph_of_key(n, key)
-        for attr in _ClassMasks.__slots__:
-            assert getattr(masks, attr) == getattr(g, attr), attr
         assert _holds({}, key, masks) == (sufficient_condition_holds(g) is not None)
 
 
 def test_census_builds_a_graph_only_where_one_is_kept(monkeypatch):
-    """Passing classes are decided on their key's masks: an n = 5 census
-    builds GDags only for its 96 failures and their survivor searches
-    (443 in all, against 9,071 if every class got one)."""
+    """Passing classes are decided on their extension's masks: an n = 5
+    census builds GDags only for its 96 failures and their survivor
+    searches (443 in all, against 9,071 if every class got one)."""
     built = 0
     init = GDag.__init__
 
@@ -277,6 +311,23 @@ def test_enumeration_counts_small():
     assert len(list(enumerate_gdags(3))) == 40
 
 
+@pytest.mark.parametrize("n", [0, CENSUS_MAX_N + 1])
+def test_census_sizes_are_checked_before_keying(n, monkeypatch):
+    """Sizes outside 1..CENSUS_MAX_N are refused with a ValueError at
+    the call, before any class is keyed: n = 7 would key about 46M sink
+    extensions."""
+    def no_keys(*args):
+        raise AssertionError("a key was computed")
+
+    for name in ("_class_codes", "_enumerate_classes", "_extensions", "_code_of_masks"):
+        monkeypatch.setattr(enumeration, name, no_keys)
+    message = rf"census supports 1 <= n <= {CENSUS_MAX_N}"
+    with pytest.raises(ValueError, match=message):
+        classification_census(n)
+    with pytest.raises(ValueError, match=message):
+        enumerate_gdags(n)
+
+
 def test_enumeration_count_four():
     assert len(list(enumerate_gdags(4))) == 420
 
@@ -348,7 +399,7 @@ def test_census_csv_row():
 
 @pytest.mark.long_run
 def test_census_n6(monkeypatch):
-    """The six-node census (over a minute; see the README for measured
+    """The six-node census (about 20 s; see the README for measured
     times): its row, the class count by number of latent nodes, and the
     survivors in scan order.  The latent counts are read from the
     classes the census itself enumerates."""
