@@ -10,12 +10,13 @@ is one int that also encodes the node count (see ``_code_of_masks``), so
 keys of graphs of different sizes never collide.  The extensions of one
 class share its masks and its relabelling sums (see ``_extensions``).
 
-The census decides the C = I sufficient condition for every isomorphism
-class on the masks of the extension that first met it: the smaller
-class's masks plus the sink, with its own key not decoded and no graph
-or certificate built when it passes.  Survivors are the
-condition-failing graphs from which no strictly smaller
-condition-failing graph can be reached by reduction rules; the
+The census runs the sink-extension loop itself, and its condition memo
+is its seen-set: each isomorphism class is decided once, on the masks
+of the extension that first met it (the smaller class's masks plus the
+sink), with its own key not decoded and no graph or certificate built
+when it passes.  Only the (n-1)-node keys are held besides the memo.
+Survivors are the condition-failing graphs from which no strictly
+smaller condition-failing graph can be reached by reduction rules; the
 one-outcome observed-node removal rule participates in that search
 because restricting any observed variable to a single outcome never
 enlarges the classical set.  Survivors are listed in the order their
@@ -207,11 +208,16 @@ def _extensions(m: int, base: int) -> Iterator[tuple[list[int], partial[_ClassMa
         for s in [n * at[v] + at[w] for v in range(m) for w in _bits(child[v])]:
             total = list(map(add, total, map(itemgetter(s), rows)))
         column = [list(map(itemgetter(n * at[v] + at[m]), rows)) for v in range(m)]
-        sums = [total]
+        # stack[j] holds the sums of the last parent set with j parents,
+        # so after truncation to p.bit_count() entries its top is p ^ low.
+        stack = [total]
+        keys = [head | min(total)]
         for p in range(1, sink):
             low = p & -p
-            sums.append(list(map(add, sums[p ^ low], column[low.bit_length() - 1])))
-        yield [head | min(s) for s in sums], partial(masks, kind)
+            del stack[p.bit_count():]
+            stack.append(list(map(add, stack[-1], column[low.bit_length() - 1])))
+            keys.append(head | min(stack[-1]))
+        yield keys, partial(masks, kind)
 
 
 def _class_codes(n: int) -> Iterator[int]:
@@ -234,20 +240,6 @@ def _class_codes(n: int) -> Iterator[int]:
                 if key not in seen:
                     seen.add(key)
                     yield key
-
-
-def _enumerate_classes(n: int) -> Iterator[tuple[int, _ClassMasks]]:
-    """(canonical key, masks) of every n-node isomorphism class in the
-    order of ``_class_codes``; the masks are those of the sink extension
-    that first met the class (see ``_extensions``), not of its key's
-    canonical form.  No class key is decoded and no GDag is built."""
-    seen: set[int] = set()
-    for base in list(_class_codes(n - 1)):
-        for keys, masks in _extensions(n - 1, base):
-            for p, key in enumerate(keys):
-                if key not in seen:
-                    seen.add(key)
-                    yield key, masks(p)
 
 
 def enumerate_gdags(n: int) -> Iterator[GDag]:
@@ -280,7 +272,7 @@ def _scan_rank(g: GDag) -> tuple[int, int]:
     )
 
 
-def _holds(cond: dict[int, bool], key: int, g: GDag | _ClassMasks) -> bool:
+def _holds(cond: dict[int, bool], key: int, g: GDag) -> bool:
     """Does the sufficient condition hold for g, whose canonical key is
     key?  Answers are memoised in ``cond``; no certificate is built."""
     v = cond.get(key)
@@ -358,26 +350,28 @@ def classification_census(n: int) -> CensusReport:
     since the search answers each failure alone (``cond`` only memoises
     the condition).
 
-    Each class is decided on the masks of its first sink extension (see
-    ``_enumerate_classes``), asking only whether a winning branch
-    exists, which does not depend on the labelling (``cond`` assumes as
-    much for the graphs of the survivor search).  A class that passes
-    costs no GDag and no certificate.  Failures are held as keys, not
-    graphs, and each graph is rebuilt for its search: a GDag takes about
-    1.2 KB, and n = 6 has 10,181 failures.
+    Every extension of every (n-1)-node class is keyed (see
+    ``_extensions``); a key not yet in ``cond`` is decided on that
+    extension's masks, asking only whether a winning branch exists,
+    which does not depend on the labelling (``cond`` assumes as much for
+    the graphs of the survivor search).  So ``cond`` is also the
+    seen-set, and the counts and failures are read off it before the
+    survivor search adds smaller graphs.  A class that passes costs no
+    GDag and no certificate.  Failures are held as keys, not graphs, and
+    each graph is rebuilt for its search: a GDag takes about 1.2 KB, and
+    n = 6 has 10,181 failures.
     """
     if not 1 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
     cond: dict[int, bool] = {}
-    total = 0
-    holds = 0
-    failures: list[int] = []
-    for key, masks in _enumerate_classes(n):
-        total += 1
-        if _holds(cond, key, masks):
-            holds += 1
-        else:
-            failures.append(key)
+    for base in list(_class_codes(n - 1)):
+        for keys, masks in _extensions(n - 1, base):
+            for p, key in enumerate(keys):
+                if key not in cond:
+                    cond[key] = _winning_branch(masks(p)) is not None
+    total = len(cond)
+    holds = sum(cond.values())
+    failures = [key for key, v in cond.items() if not v]
     survivors = []
     for key in failures:
         g = _graph_of_key(n, key)

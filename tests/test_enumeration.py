@@ -14,7 +14,6 @@ from gdag_lab.enumeration import (
     CensusReport,
     _class_codes,
     _code_of_masks,
-    _enumerate_classes,
     _extensions,
     _graph_of_key,
     _holds,
@@ -91,9 +90,9 @@ def test_canonical_key_matches_oracle_on_labelled_scan(n):
         assert canonical_key(g) == expected
         assert _code_of_masks(kinds, child_mask) == expected
         first_seen.setdefault(expected, None)
-    classes = list(_enumerate_classes(n))
-    assert len(classes) == len(first_seen)
-    assert {key for key, _ in classes} == set(first_seen)
+    codes = list(_class_codes(n))
+    assert len(codes) == len(first_seen)
+    assert set(codes) == set(first_seen)
     ranked = sorted(enumerate_gdags(n), key=_scan_rank)
     assert [canonical_key(g) for g in ranked] == list(first_seen)
 
@@ -164,27 +163,50 @@ def test_census_survivors_in_scan_order(n, monkeypatch):
         if not _holds(cond, key, g) and not _reducible_to_smaller_failure(key, g, cond):
             expected.append(g)
     assert classification_census(n).survivors == tuple(expected)
-    classes = list(_enumerate_classes(n))
-    monkeypatch.setattr(enumeration, "_enumerate_classes", lambda n: reversed(classes))
+    class_codes = enumeration._class_codes
+    monkeypatch.setattr(
+        enumeration, "_class_codes", lambda n: reversed(list(class_codes(n)))
+    )
     assert classification_census(n).survivors == tuple(expected)
 
 
+def _record_decisions(monkeypatch, n: int, record) -> None:
+    """Call ``record(masks, holds)`` for every n-node graph the census
+    hands to ``_winning_branch``, with the answer it gets."""
+    winning_branch = enumeration._winning_branch
+
+    def recorded(g):
+        win = winning_branch(g)
+        if len(g.names) == n:
+            record(g, win is not None)
+        return win
+
+    monkeypatch.setattr(enumeration, "_winning_branch", recorded)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_class_masks_decide_as_graphs(n):
-    """Every n-node class: the masks the census decides on are a
-    labelling of its key, with the parents and ancestors of their child
-    masks, and the census's answer on them is whether
+def test_class_masks_decide_as_graphs(n, monkeypatch):
+    """The census decides every n-node class exactly once, in the order
+    of ``_class_codes``: the masks it decides on are a labelling of the
+    class, with the parents and ancestors of their child masks; its
+    counts are read off those decisions; and each answer is whether
     ``sufficient_condition_holds`` finds a certificate for the GDag of
-    the key."""
-    for key, masks in _enumerate_classes(n):
+    the class's key."""
+    decided = []
+    _record_decisions(monkeypatch, n, lambda masks, holds: decided.append((masks, holds)))
+    r = classification_census(n)
+    keys = [_code_of_masks(_kinds_of(masks), masks.child_mask) for masks, _ in decided]
+    assert keys == list(_class_codes(n))
+    assert r.total == len(decided)
+    assert r.condition_holds == sum(holds for _, holds in decided)
+    for key, (masks, holds) in zip(keys, decided):
         assert masks.names == tuple("ABCDE"[:n])
         assert masks.all_mask == (1 << n) - 1
-        assert _code_of_masks(_kinds_of(masks), masks.child_mask) == key
         parent_mask, anc_mask = _masks_of_children(masks.child_mask)
         assert masks.parent_mask == parent_mask
         assert masks.anc_mask == anc_mask
         g = _graph_of_key(n, key)
-        assert _holds({}, key, masks) == (sufficient_condition_holds(g) is not None)
+        assert holds == (sufficient_condition_holds(g) is not None)
 
 
 def test_census_builds_a_graph_only_where_one_is_kept(monkeypatch):
@@ -319,7 +341,7 @@ def test_census_sizes_are_checked_before_keying(n, monkeypatch):
     def no_keys(*args):
         raise AssertionError("a key was computed")
 
-    for name in ("_class_codes", "_enumerate_classes", "_extensions", "_code_of_masks"):
+    for name in ("_class_codes", "_extensions", "_code_of_masks"):
         monkeypatch.setattr(enumeration, name, no_keys)
     message = rf"census supports 1 <= n <= {CENSUS_MAX_N}"
     with pytest.raises(ValueError, match=message):
@@ -402,18 +424,17 @@ def test_census_n6(monkeypatch):
     """The six-node census (about 20 s; see the README for measured
     times): its row, the class count by number of latent nodes, and the
     survivors in scan order.  The latent counts are read from the
-    classes the census itself enumerates."""
+    masks the census itself decides, one decision per class; the masks
+    are counted, not held."""
     latent = Counter()
-    enumerate_classes = enumeration._enumerate_classes
 
-    def counted(n):
-        for key, g in enumerate_classes(n):
-            latent[_masks_of_code(n, key)[0].count(1)] += 1
-            yield key, g
+    def count(masks, holds):
+        latent[6 - masks.observed_mask.bit_count()] += 1
 
-    monkeypatch.setattr(enumeration, "_enumerate_classes", counted)
+    _record_decisions(monkeypatch, 6, count)
     r = classification_census(6)
     assert r.csv_row() == "6,357468,347287,19"
+    assert sum(latent.values()) == 357468
     lines = "".join(g.to_json() + "\n" for g in r.survivors)
     assert sha256(lines.encode()).hexdigest() == (
         "6aa007dee5143dafe6a20d959a1c3ea45ed6ab62fc7c9abf277b5041a465c1a9"
