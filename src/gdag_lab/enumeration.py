@@ -10,24 +10,24 @@ is one int that also encodes the node count (see ``_code_of_masks``), so
 keys of graphs of different sizes never collide.  The extensions of one
 class share its masks and its relabelling sums (see ``_extensions``).
 
-The census runs the sink-extension loop itself, and its condition memo
-is its seen-set: each isomorphism class is decided once, on the masks
-of the extension that first met it (the smaller class's masks plus the
-sink), with its own key not decoded and no graph or certificate built
-when it passes.  Only the (n-1)-node keys are held besides the memo.
-Survivors are the condition-failing graphs from which no strictly
-smaller condition-failing graph can be reached by reduction rules; the
-one-outcome observed-node removal rule participates in that search
-because restricting any observed variable to a single outcome never
-enlarges the classical set.  Survivors are listed in the order their
-classes first occur in the labelled scan (see ``_scan_rank``).
+The census runs the sink-extension loop itself, level by level; its
+condition memo over every level is its seen-set.  A class is searched
+only when its new sink is observed with an unobserved parent, on the
+masks of the extension that first met it; any other class takes the
+smaller class's answer.  Survivors are the condition-failing graphs
+from which no strictly smaller condition-failing graph can be reached
+by reduction rules; the one-outcome observed-node removal rule
+participates in that search because restricting any observed variable
+to a single outcome never enlarges the classical set.  Survivors are
+listed in the order their classes first occur in the labelled scan
+(see ``_scan_rank``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from operator import add, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -119,12 +119,18 @@ def _reversals(n: int) -> tuple[int, ...]:
     return tuple([int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)])
 
 
+def _observed_count(n: int, code: int) -> int:
+    """The number k of observed nodes of the n-node class whose key is
+    ``code``; its canonical form numbers them 0..k-1."""
+    return (code >> (n * n)) ^ (2 << n)
+
+
 def _masks_of_code(n: int, code: int) -> tuple[list[int], list[int]]:
     """(kinds, child masks) of the canonical form of the n-node class
     whose key is ``code``: its observed nodes first.  Row i of the
     adjacency bits is the n-bit field at bit n*(n-1-i), edge i -> j at
     its bit n-1-j, so reversing the field gives i's child mask."""
-    k = (code >> (n * n)) ^ (2 << n)
+    k = _observed_count(n, code)
     field = (1 << n) - 1
     reverse = _table((n,), _reversals)
     child_mask = [reverse[(code >> (n * (n - 1 - i))) & field] for i in range(n)]
@@ -168,10 +174,13 @@ class _ClassMasks(NamedTuple):
     anc_mask: tuple[int, ...]
 
 
-def _extensions(m: int, base: int) -> Iterator[tuple[list[int], partial[_ClassMasks]]]:
+def _extensions(
+    m: int, base: int
+) -> Iterator[tuple[int, list[int], partial[_ClassMasks]]]:
     """The graphs made from the m-node class with key ``base`` by adding
-    node m as a sink: per sink kind, observed first, their keys by parent
-    set p = 0, 1, ..., 2**m - 1 and a function of p giving their masks.
+    node m as a sink: per sink kind (0 observed, then 1 unobserved), the
+    kind, their keys by parent set p = 0, 1, ..., 2**m - 1 and a function
+    of p giving their masks.
 
     Each kind numbers the nodes observed first as ``_code_of_masks``
     does and sums each relabelling row over the base's edge slots once;
@@ -217,7 +226,7 @@ def _extensions(m: int, base: int) -> Iterator[tuple[list[int], partial[_ClassMa
             del stack[p.bit_count():]
             stack.append(list(map(add, stack[-1], column[low.bit_length() - 1])))
             keys.append(head | min(stack[-1]))
-        yield keys, partial(masks, kind)
+        yield kind, keys, partial(masks, kind)
 
 
 def _class_codes(n: int) -> Iterator[int]:
@@ -235,7 +244,7 @@ def _class_codes(n: int) -> Iterator[int]:
         return
     seen: set[int] = set()
     for base in list(_class_codes(n - 1)):
-        for keys, _ in _extensions(n - 1, base):
+        for _, keys, _ in _extensions(n - 1, base):
             for key in keys:
                 if key not in seen:
                     seen.add(key)
@@ -272,15 +281,6 @@ def _scan_rank(g: GDag) -> tuple[int, int]:
     )
 
 
-def _holds(cond: dict[int, bool], key: int, g: GDag) -> bool:
-    """Does the sufficient condition hold for g, whose canonical key is
-    key?  Answers are memoised in ``cond``; no certificate is built."""
-    v = cond.get(key)
-    if v is None:
-        v = cond[key] = _winning_branch(g) is not None
-    return v
-
-
 def _elimination_moves(g: GDag) -> Iterator[GDag]:
     """Successor graphs for the survivor search.
 
@@ -307,7 +307,8 @@ def _reducible_to_smaller_failure(
 ) -> bool:
     """Search reduction sequences from g, whose canonical key is key, for
     a strictly smaller condition-failing graph (fewer nodes, or equal
-    nodes and fewer edges)."""
+    nodes and fewer edges).  ``cond`` holds the answer of every class of
+    at most g's size; a key missing from it raises KeyError."""
     start = (len(g.names), len(g.edges))
     seen = {key}
     queue = [g]
@@ -320,7 +321,7 @@ def _reducible_to_smaller_failure(
             if key in seen:
                 continue
             seen.add(key)
-            if (len(nxt.names), len(nxt.edges)) < start and not _holds(cond, key, nxt):
+            if (len(nxt.names), len(nxt.edges)) < start and not cond[key]:
                 return True
             queue.append(nxt)
     return False
@@ -350,32 +351,47 @@ def classification_census(n: int) -> CensusReport:
     since the search answers each failure alone (``cond`` only memoises
     the condition).
 
-    Every extension of every (n-1)-node class is keyed (see
-    ``_extensions``); a key not yet in ``cond`` is decided on that
-    extension's masks, asking only whether a winning branch exists,
-    which does not depend on the labelling (``cond`` assumes as much for
-    the graphs of the survivor search).  So ``cond`` is also the
-    seen-set, and the counts and failures are read off it before the
-    survivor search adds smaller graphs.  A class that passes costs no
-    GDag and no certificate.  Failures are held as keys, not graphs, and
-    each graph is rebuilt for its search: a GDag takes about 1.2 KB, and
-    n = 6 has 10,181 failures.
+    The classes of 1, 2, ..., n nodes are built level by level from the
+    last level's extensions (see ``_extensions``); a key not yet in
+    ``cond`` gets its answer from the extension that first meets it, so
+    ``cond`` is also the seen-set.  If the new sink is unobserved, or
+    observed with only observed parents, that is the base class's
+    answer: a childless sink is never tricky nor a candidate root, so
+    the search runs as on the base, and each final graph's test is the
+    base's plus, for an observed sink, the sink's own local-Markov
+    statement, which holds (see the README).  The rest are searched on
+    the extension's masks; whether a winning branch exists does not
+    depend on the labelling.  Counts and failures are read off the
+    n-node level.  A class that passes costs no GDag and no
+    certificate.  Failures are held as keys, not graphs, and each graph
+    is rebuilt for its search: a GDag takes about 1.2 KB, and n = 6 has
+    10,181 failures.
     """
     if not 1 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
-    cond: dict[int, bool] = {}
-    for base in list(_class_codes(n - 1)):
-        for keys, masks in _extensions(n - 1, base):
-            for p, key in enumerate(keys):
-                if key not in cond:
-                    cond[key] = _winning_branch(masks(p)) is not None
-    total = len(cond)
-    holds = sum(cond.values())
-    failures = [key for key, v in cond.items() if not v]
+    # Level 0 is the empty graph, whose answer the one-node classes take.
+    empty = _ClassMasks((), 0, 0, (), (), ())
+    cond = {_code_of_masks([], []): _winning_branch(empty) is not None}
+    start = 0
+    for m in range(n):
+        bases = list(islice(cond.items(), start, None))
+        start = len(cond)
+        for base, held in bases:
+            # The base's canonical form numbers its unobserved nodes k..m-1.
+            k = _observed_count(m, base)
+            for kind, keys, masks in _extensions(m, base):
+                for p, key in enumerate(keys):
+                    if key not in cond:
+                        cond[key] = (
+                            held if kind or not p >> k
+                            else _winning_branch(masks(p)) is not None
+                        )
+    failures = [key for key, v in islice(cond.items(), start, None) if not v]
+    total = len(cond) - start
     survivors = []
     for key in failures:
         g = _graph_of_key(n, key)
         if not _reducible_to_smaller_failure(key, g, cond):
             survivors.append(g)
     survivors.sort(key=_scan_rank)
-    return CensusReport(n, total, holds, tuple(survivors))
+    return CensusReport(n, total, total - len(failures), tuple(survivors))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gdag_lab import enumeration
 from gdag_lab.catalog import bell_gdag, instrumental_gdag, triangle_gdag
-from gdag_lab.classify import sufficient_condition_holds
+from gdag_lab.classify import _winning_branch, sufficient_condition_holds
 from gdag_lab.enumeration import (
     CENSUS_MAX_N,
     CensusReport,
@@ -16,8 +16,8 @@ from gdag_lab.enumeration import (
     _code_of_masks,
     _extensions,
     _graph_of_key,
-    _holds,
     _masks_of_code,
+    _observed_count,
     _reducible_to_smaller_failure,
     _scan_rank,
     canonical_key,
@@ -110,7 +110,8 @@ def test_sink_extension_keys_match_oracle_at_n6():
     for _ in range(300):
         base = rng.choice(codes)
         kind, parents = rng.randrange(2), rng.randrange(1 << 5)
-        keys, masks = list(_extensions(5, base))[kind]
+        yielded, keys, masks = list(_extensions(5, base))[kind]
+        assert yielded == kind
         ext = masks(parents)
         g5 = _graph_of_key(5, base)
         g = GDag(
@@ -125,15 +126,16 @@ def test_sink_extension_keys_match_oracle_at_n6():
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_extension_keys_match_code_of_masks(m):
     """Every extension of every m-node class, in order (observed sink,
-    then latent; parent sets counting up): its masks are the base's
-    canonical form plus the sink, with the parents and ancestors of
-    their child masks, and its key from the shared relabelling sums is
-    ``_code_of_masks`` on them."""
+    then latent, each yielded with its kind; parent sets counting up):
+    its masks are the base's canonical form plus the sink, with the
+    parents and ancestors of their child masks, and its key from the
+    shared relabelling sums is ``_code_of_masks`` on them."""
     for base in _class_codes(m):
         base_kinds, base_child = _masks_of_code(m, base)
         extensions = list(_extensions(m, base))
         assert len(extensions) == 2
-        for kind, (keys, masks) in enumerate(extensions):
+        for position, (kind, keys, masks) in enumerate(extensions):
+            assert kind == position
             assert len(keys) == 1 << m
             for parents, key in enumerate(keys):
                 ext = masks(parents)
@@ -147,27 +149,44 @@ def test_extension_keys_match_code_of_masks(m):
                 assert key == _code_of_masks(_kinds_of(ext), ext.child_mask)
 
 
+@pytest.fixture(scope="module")
+def condition_oracle() -> dict[int, bool]:
+    """Whether ``sufficient_condition_holds`` finds a certificate, for
+    every class of 1 to 5 nodes, by key."""
+    return {
+        key: sufficient_condition_holds(_graph_of_key(m, key)) is not None
+        for m in range(1, 6)
+        for key in _class_codes(m)
+    }
+
+
 @pytest.mark.parametrize("n", [4, 5])
-def test_census_survivors_in_scan_order(n, monkeypatch):
+def test_census_survivors_in_scan_order(n, monkeypatch, condition_oracle):
     """The survivors are the failing classes of the labelled scan, in
     first-occurrence order, that the survivor search keeps, whatever
-    order the classes are enumerated in."""
+    order the level walk meets the classes in.  Swapping the two sink
+    kinds of every extension reorders each level, so the next level's
+    classes are first met from other bases, through other sink kinds,
+    and the census still reads the same."""
     first_seen = dict.fromkeys(
         _code_of_masks(kinds, child_mask)
         for kinds, child_mask in labelled_scan_oracle(n)
     )
-    cond: dict[int, bool] = {}
+    cond = dict(condition_oracle)
     expected = []
     for key in first_seen:
         g = _graph_of_key(n, key)
-        if not _holds(cond, key, g) and not _reducible_to_smaller_failure(key, g, cond):
+        if not cond[key] and not _reducible_to_smaller_failure(key, g, cond):
             expected.append(g)
-    assert classification_census(n).survivors == tuple(expected)
-    class_codes = enumeration._class_codes
+    r = classification_census(n)
+    assert r.survivors == tuple(expected)
+    extensions = enumeration._extensions
     monkeypatch.setattr(
-        enumeration, "_class_codes", lambda n: reversed(list(class_codes(n)))
+        enumeration, "_extensions", lambda m, base: reversed(list(extensions(m, base)))
     )
-    assert classification_census(n).survivors == tuple(expected)
+    swapped = classification_census(n)
+    assert swapped.csv_row() == r.csv_row()
+    assert swapped.survivors == tuple(expected)
 
 
 def _record_decisions(monkeypatch, n: int, record) -> None:
@@ -184,29 +203,88 @@ def _record_decisions(monkeypatch, n: int, record) -> None:
     monkeypatch.setattr(enumeration, "_winning_branch", recorded)
 
 
+def _searched_sink(masks) -> bool:
+    """Is the sink of an extension's masks (its last node) observed with
+    an unobserved parent?"""
+    sink = len(masks.names) - 1
+    observed = masks.observed_mask
+    return bool((observed >> sink) & 1 and masks.parent_mask[sink] & ~observed)
+
+
+#: How many n-node classes the census searches: those first met through
+#: an observed sink with an unobserved parent.
+_SEARCHED = {1: 0, 2: 1, 3: 9, 4: 120, 5: 2813}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_class_masks_decide_as_graphs(n, monkeypatch):
-    """The census decides every n-node class exactly once, in the order
-    of ``_class_codes``: the masks it decides on are a labelling of the
-    class, with the parents and ancestors of their child masks; its
-    counts are read off those decisions; and each answer is whether
-    ``sufficient_condition_holds`` finds a certificate for the GDag of
-    the class's key."""
+def test_class_masks_decide_as_graphs(n, monkeypatch, condition_oracle):
+    """The census searches exactly the n-node classes first met, in the
+    order of ``_class_codes``, through an observed sink with an
+    unobserved parent, each once; the masks it decides on are that
+    extension's, a labelling of the class with the parents and ancestors
+    of its child masks; each answer is whether
+    ``sufficient_condition_holds`` finds a certificate for the GDag of the
+    class's key; and the counts equal that oracle's over every class."""
+    first: dict[int, bool] = {}
+    for base in _class_codes(n - 1):
+        for _, keys, masks in _extensions(n - 1, base):
+            for p, key in enumerate(keys):
+                if key not in first:
+                    first[key] = _searched_sink(masks(p))
+    codes = list(_class_codes(n))
+    assert list(first) == codes
     decided = []
     _record_decisions(monkeypatch, n, lambda masks, holds: decided.append((masks, holds)))
     r = classification_census(n)
     keys = [_code_of_masks(_kinds_of(masks), masks.child_mask) for masks, _ in decided]
-    assert keys == list(_class_codes(n))
-    assert r.total == len(decided)
-    assert r.condition_holds == sum(holds for _, holds in decided)
+    assert keys == [key for key, searched in first.items() if searched]
+    assert len(keys) == _SEARCHED[n]
     for key, (masks, holds) in zip(keys, decided):
         assert masks.names == tuple("ABCDE"[:n])
         assert masks.all_mask == (1 << n) - 1
         parent_mask, anc_mask = _masks_of_children(masks.child_mask)
         assert masks.parent_mask == parent_mask
         assert masks.anc_mask == anc_mask
-        g = _graph_of_key(n, key)
-        assert holds == (sufficient_condition_holds(g) is not None)
+        assert holds == condition_oracle[key]
+    assert r.total == len(codes)
+    assert r.condition_holds == sum(condition_oracle[key] for key in codes)
+
+
+def _with_sink(g: GDag, kind: NodeKind, parents) -> GDag:
+    """g plus a new last node S of the given kind with the given parents."""
+    return GDag(
+        [*zip(g.names, g.kinds), ("S", kind)], [*g.edges, *((v, "S") for v in parents)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_sink_that_cannot_matter_keeps_the_answer(seed):
+    """Beyond census sizes (up to 9 nodes): a new sink that is
+    unobserved, with any parents, or observed, with observed parents
+    only, leaves the certificate search's winning branch as it was, and
+    any certificate found on the extension verifies."""
+    rng = Random(seed)
+    g = random_gdag(rng, max_nodes=8, p_unobserved=0.4)
+    kind = rng.choice([OBS, UNOBS])
+    pool = g.names if kind is UNOBS else g.observed_nodes()
+    h = _with_sink(g, kind, [v for v in pool if rng.random() < 0.5])
+    win = _winning_branch(g)
+    assert _winning_branch(h) == win
+    cert = sufficient_condition_holds(h)
+    assert (cert is None) == (win is None)
+    assert cert is None or cert.verify()
+
+
+def test_observed_sink_with_unobserved_parent_can_fail():
+    """The inheritance rule stops at observed sinks with an unobserved
+    parent: the instrumental graph fails, yet it is the passing
+    Y -> B <- U plus the observed sink A with parents B and U."""
+    base = GDag([("Y", OBS), ("B", OBS), ("U", UNOBS)], [("Y", "B"), ("U", "B")])
+    assert sufficient_condition_holds(base) is not None
+    g = _with_sink(base, OBS, ["B", "U"])
+    assert isomorphic(g, instrumental_gdag())
+    assert sufficient_condition_holds(g) is None
 
 
 def test_census_builds_a_graph_only_where_one_is_kept(monkeypatch):
@@ -421,19 +499,36 @@ def test_census_csv_row():
 
 @pytest.mark.long_run
 def test_census_n6(monkeypatch):
-    """The six-node census (about 20 s; see the README for measured
+    """The six-node census (about 11 s; see the README for measured
     times): its row, the class count by number of latent nodes, and the
-    survivors in scan order.  The latent counts are read from the
-    masks the census itself decides, one decision per class; the masks
-    are counted, not held."""
-    latent = Counter()
+    survivors in scan order.  It searches only the 126,210 classes first
+    met through an observed sink with an unobserved parent; the latent
+    counts are read from the keys of its own six-node level, and the
+    searched masks are counted, not held."""
+    searched = 0
 
     def count(masks, holds):
-        latent[6 - masks.observed_mask.bit_count()] += 1
+        nonlocal searched
+        assert _searched_sink(masks)
+        searched += 1
 
     _record_decisions(monkeypatch, 6, count)
+    memo = []
+    reducible = enumeration._reducible_to_smaller_failure
+
+    def spied(key, g, cond):
+        if not memo:
+            memo.append(cond)
+        return reducible(key, g, cond)
+
+    monkeypatch.setattr(enumeration, "_reducible_to_smaller_failure", spied)
     r = classification_census(6)
     assert r.csv_row() == "6,357468,347287,19"
+    assert searched == 126210
+    # A six-node key's leading 1 is bit 6*6 + 6 + 1.
+    latent = Counter(
+        6 - _observed_count(6, key) for key in memo[0] if key.bit_length() == 44
+    )
     assert sum(latent.values()) == 357468
     lines = "".join(g.to_json() + "\n" for g in r.survivors)
     assert sha256(lines.encode()).hexdigest() == (
