@@ -352,14 +352,6 @@ class MergeUnobservedIntoUnobservedParent:
 
 
 @dataclass(frozen=True)
-class DropOneOutcomeObserved:
-    """Remove an observed node whose variable the caller asserts takes a
-    single value; never applied automatically by reduce()."""
-
-    node: str
-
-
-@dataclass(frozen=True)
 class AbsorbDominatedUnobserved:
     node: str
     into: str
@@ -379,7 +371,6 @@ ReductionRule = Union[
     DropDisconnectedComponent,
     DropChildlessUnobserved,
     MergeUnobservedIntoUnobservedParent,
-    DropOneOutcomeObserved,
     AbsorbDominatedUnobserved,
     MergeUnobservedIntoSoleChild,
     MergeObservedIntoParentlessUnobservedParent,
@@ -429,10 +420,6 @@ def _refusal(g: GDag, r: ReductionRule) -> Optional[str]:
         (p,) = pa
         if g.is_observed(p):
             return f"parent {p!r} is observed"
-
-    elif isinstance(r, DropOneOutcomeObserved):
-        if not g.is_observed(r.node):
-            return f"{r.node!r} is not observed"
 
     elif isinstance(r, AbsorbDominatedUnobserved):
         n, m = r.node, r.into
@@ -500,19 +487,12 @@ def apply_reduction(g: GDag, r: ReductionRule) -> GDag:
         (x,) = g.parents(n)
         (z,) = g.children(x) - {n}
         return _merge(g, x, [(n, z)])
-    # DropChildlessUnobserved, DropOneOutcomeObserved, AbsorbDominatedUnobserved
+    # DropChildlessUnobserved, AbsorbDominatedUnobserved
     return g.without_nodes([n])
 
 
-def applicable_reductions(
-    g: GDag, include_one_outcome: bool = False
-) -> Iterator[ReductionRule]:
-    """Yield applicable rule instances in the fixed priority order.
-
-    ``include_one_outcome`` additionally yields the observed-node removal
-    rule for every observed node; that rule is only sound when the node
-    is restricted to one outcome, so it is excluded by default.
-    """
+def applicable_reductions(g: GDag) -> Iterator[ReductionRule]:
+    """Yield applicable rule instances in the fixed priority order."""
     comps: list[frozenset[str]] = []
     placed: set[str] = set()
     for n in g.names:
@@ -532,7 +512,6 @@ def applicable_reductions(
     rules = (
         DropChildlessUnobserved,
         MergeUnobservedIntoUnobservedParent,
-        *([DropOneOutcomeObserved] if include_one_outcome else []),
         AbsorbDominatedUnobserved,
         MergeUnobservedIntoSoleChild,
         MergeObservedIntoParentlessUnobservedParent,
@@ -546,11 +525,7 @@ def applicable_reductions(
 
 
 def reduce(g: GDag) -> GDag:
-    """Apply reduction rules to a fixed point in priority order.
-
-    The observed-node-removal rule requires cardinality knowledge absent
-    from a bare graph and is never applied here.
-    """
+    """Apply reduction rules to a fixed point in priority order."""
     while True:
         rule = next(applicable_reductions(g), None)
         if rule is None:

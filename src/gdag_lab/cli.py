@@ -226,8 +226,6 @@ def _cmd_reduce(args) -> int:
 def _cmd_census(args) -> int:
     if not 1 <= args.n <= CENSUS_MAX_N:
         raise CliError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
-    if args.n >= 6 and not args.long_run:
-        raise CliError(f"census --n {args.n} requires --long-run")
     report = classification_census(args.n)
     print(report.csv_row())
     return 0
@@ -284,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="classification census CSV row")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--long-run", action="store_true")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("entropic", help="derive E_C and E_I")

@@ -15,10 +15,10 @@ condition memo over every level is its seen-set.  A class is searched
 only when its new sink is observed with an unobserved parent, on the
 masks of the extension that first met it; any other class takes the
 smaller class's answer.  Survivors are the condition-failing graphs
-from which no strictly smaller condition-failing graph can be reached
-by reduction rules; the one-outcome observed-node removal rule
-participates in that search because restricting any observed variable
-to a single outcome never enlarges the classical set.  Survivors are
+from which the survivor search's moves reach no condition-failing
+graph: the reduction rules, and removing an observed node (as if it
+took one outcome) or an edge into an all-observed family, two one-way
+moves that are not rules (see ``_elimination_moves``).  Survivors are
 listed in the order their classes first occur in the labelled scan
 (see ``_scan_rank``).
 """
@@ -37,7 +37,7 @@ from .classify import _winning_branch, applicable_reductions, apply_reduction
 # name; the census itself asks only ``_winning_branch``.
 from .classify import sufficient_condition_holds  # noqa: F401
 
-#: The largest census: n = 6 takes about 20 s, while n = 7 would key
+#: The largest census: n = 6 takes about 10 s, while n = 7 would key
 #: about 46M sink extensions against up to 7! relabellings each.  Key
 #: tables (see ``_TABLES``) are kept up to this size.
 CENSUS_MAX_N = 6
@@ -282,20 +282,23 @@ def _scan_rank(g: GDag) -> tuple[int, int]:
 
 
 def _elimination_moves(g: GDag) -> Iterator[GDag]:
-    """Successor graphs for the survivor search.
+    """Successor graphs for the survivor search: those of the default
+    reduction rules, g without each observed node, and g without each
+    edge into an observed node whose parents are all observed.
 
-    Besides the reduction rules (with the one-outcome observed-node
-    removal enabled), an edge into an observed node whose parents are
-    all observed may be dropped unconditionally: any distribution
-    satisfying the smaller graph's independences has X independent of
-    the removed parent given the remaining ones, so a classical model
-    using the edge converts to one without it.  Like the one-outcome
-    rule this transfer runs in one direction only, which is all the
-    elimination argument needs.
+    The last two moves preserve neither C nor I, but each carries a
+    separation back to g, which is all the elimination argument needs:
+    a distribution that satisfies I(h) of the smaller graph h but lies
+    outside C(h) does the same on g.  With x removed, extend it by a
+    constant x: a constant adds no dependence, and a classical model on
+    g whose x is constant is one on h.  With y -> x removed, I(h) makes
+    x independent of y given its other parents, so a classical model on
+    g is turned into one on h by giving x that conditional.
     """
-    for rule in applicable_reductions(g, include_one_outcome=True):
+    for rule in applicable_reductions(g):
         yield apply_reduction(g, rule)
     for x in g.observed_nodes():
+        yield g.without_nodes([x])
         pa = g.parents(x)
         if pa and all(g.is_observed(p) for p in pa):
             for y in sorted(pa, key=g.index.__getitem__):
@@ -305,23 +308,22 @@ def _elimination_moves(g: GDag) -> Iterator[GDag]:
 def _reducible_to_smaller_failure(
     key: int, g: GDag, cond: dict[int, bool]
 ) -> bool:
-    """Search reduction sequences from g, whose canonical key is key, for
-    a strictly smaller condition-failing graph (fewer nodes, or equal
-    nodes and fewer edges).  ``cond`` holds the answer of every class of
-    at most g's size; a key missing from it raises KeyError."""
-    start = (len(g.names), len(g.edges))
+    """Search the graphs reachable from g, whose canonical key is key, by
+    ``_elimination_moves`` for a condition-failing one.  Every move
+    removes a node, or keeps the nodes and removes an edge, so each such
+    graph is strictly smaller than g, and whether one fails does not
+    depend on the order the moves are tried in.  ``cond`` holds the
+    answer of every class of at most g's size, the empty graph's too; a
+    key missing from it raises KeyError."""
     seen = {key}
     queue = [g]
     while queue:
-        cur = queue.pop()
-        for nxt in _elimination_moves(cur):
-            if not nxt.names:
-                continue
+        for nxt in _elimination_moves(queue.pop()):
             key = canonical_key(nxt)
             if key in seen:
                 continue
             seen.add(key)
-            if (len(nxt.names), len(nxt.edges)) < start and not cond[key]:
+            if not cond[key]:
                 return True
             queue.append(nxt)
     return False

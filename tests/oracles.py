@@ -14,7 +14,6 @@ from gdag_lab.classify import (
     Certificate,
     DropChildlessUnobserved,
     DropDisconnectedComponent,
-    DropOneOutcomeObserved,
     MergeObservedIntoParentlessUnobservedParent,
     MergeUnobservedIntoSoleChild,
     MergeUnobservedIntoUnobservedParent,
@@ -310,11 +309,6 @@ def apply_reduction_oracle(g: GDag, r) -> GDag:
                 h = h.with_edge(p, c)
         return h
 
-    if isinstance(r, DropOneOutcomeObserved):
-        if not g.is_observed(r.node):
-            raise TransformError(f"{r.node!r} is not observed")
-        return g.without_nodes([r.node])
-
     if isinstance(r, AbsorbDominatedUnobserved):
         n, m = r.node, r.into
         if n == m:
@@ -363,7 +357,7 @@ def apply_reduction_oracle(g: GDag, r) -> GDag:
     raise TransformError(f"unknown reduction {r!r}")
 
 
-def applicable_reductions_oracle(g: GDag, include_one_outcome: bool = False) -> Iterator:
+def applicable_reductions_oracle(g: GDag) -> Iterator:
     """Applicable rule instances in priority order, each rule's condition
     written as its own loop: the reference for
     ``classify.applicable_reductions``."""
@@ -386,10 +380,6 @@ def applicable_reductions_oracle(g: GDag, include_one_outcome: bool = False) -> 
         pa = g.parents(n)
         if len(pa) == 1 and not g.is_observed(next(iter(pa))):
             yield MergeUnobservedIntoUnobservedParent(n)
-
-    if include_one_outcome:
-        for n in g.observed_nodes():
-            yield DropOneOutcomeObserved(n)
 
     for n in g.unobserved_nodes():
         for m in g.unobserved_nodes():

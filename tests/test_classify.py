@@ -22,7 +22,6 @@ from gdag_lab.classify import (
     Certificate,
     DropChildlessUnobserved,
     DropDisconnectedComponent,
-    DropOneOutcomeObserved,
     MergeObservedIntoParentlessUnobservedParent,
     MergeUnobservedIntoSoleChild,
     MergeUnobservedIntoUnobservedParent,
@@ -124,6 +123,9 @@ def test_add_edge_parent_subset():
     # reaches the cycle test
     with pytest.raises(TransformError, match="would create a cycle"):
         apply_transformation(g, AddEdgeParentSubset("A", "A"))
+    with pytest.raises(TransformError) as e:
+        apply_transformation(h, AddEdgeParentSubset("A", "B"))
+    assert str(e.value) == "edge ('A', 'B') already present"
 
 
 # -- the sufficient condition ------------------------------------------
@@ -358,7 +360,6 @@ UNKNOWN_NODE_RULES = [
     DropDisconnectedComponent("nope"),
     DropChildlessUnobserved("nope"),
     MergeUnobservedIntoUnobservedParent("nope"),
-    DropOneOutcomeObserved("nope"),
     AbsorbDominatedUnobserved("nope", "L"),
     AbsorbDominatedUnobserved("L", "nope"),
     MergeUnobservedIntoSoleChild("nope"),
@@ -398,20 +399,6 @@ def test_merge_unobserved_into_unobserved_parent():
     h = apply_reduction(g, MergeUnobservedIntoUnobservedParent("M"))
     assert set(h.names) == {"A", "L"}
     assert h.has_edge("L", "A")
-
-
-def test_drop_one_outcome_observed():
-    g = chain()
-    h = apply_reduction(g, DropOneOutcomeObserved("Z"))
-    assert set(h.names) == {"X", "Y"}
-    # the rule is never offered by default
-    assert not any(
-        isinstance(r, DropOneOutcomeObserved) for r in applicable_reductions(g)
-    )
-    assert any(
-        isinstance(r, DropOneOutcomeObserved)
-        for r in applicable_reductions(g, include_one_outcome=True)
-    )
 
 
 def test_absorb_dominated_unobserved():
@@ -482,7 +469,6 @@ NODE_RULES = [
     DropDisconnectedComponent,
     DropChildlessUnobserved,
     MergeUnobservedIntoUnobservedParent,
-    DropOneOutcomeObserved,
     MergeUnobservedIntoSoleChild,
     MergeObservedIntoParentlessUnobservedParent,
 ]
@@ -501,10 +487,7 @@ def test_reductions_match_oracle(seed, p_unobserved):
     """Each rule's precondition, written once, selects the same instances
     and refuses with the same message as the rule-by-rule reference."""
     g = random_gdag(Random(seed), max_nodes=6, p_unobserved=p_unobserved)
-    for flag in (False, True):
-        assert list(applicable_reductions(g, flag)) == list(
-            applicable_reductions_oracle(g, flag)
-        )
+    assert list(applicable_reductions(g)) == list(applicable_reductions_oracle(g))
     rules = [rule(n) for rule in NODE_RULES for n in g.names]
     rules += [AbsorbDominatedUnobserved(n, m) for n in g.names for m in g.names]
     rules.append(RemoveEdge(g.names[0], g.names[-1]))  # not a reduction rule
@@ -519,7 +502,7 @@ def test_every_rule_fires_on_a_small_class():
         type(r)
         for n in (1, 2, 3)
         for g in enumerate_gdags(n)
-        for r in applicable_reductions(g, include_one_outcome=True)
+        for r in applicable_reductions(g)
     }
     assert fired == set(typing.get_args(ReductionRule))
 

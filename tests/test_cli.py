@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gdag_lab
+from gdag_lab import cli
 from gdag_lab.catalog import (
     bell_gdag,
     chain,
@@ -17,6 +18,7 @@ from gdag_lab.catalog import (
 )
 from gdag_lab.cli import run
 from gdag_lab.cones import Cone, implied_by
+from gdag_lab.enumeration import CensusReport
 from gdag_lab.graph import GDag, NodeKind, parse_gdag
 from gdag_lab.models import ConditionalDistribution, Distribution
 
@@ -466,12 +468,26 @@ def test_census(capsys):
 
 
 def test_census_guards(capsys):
-    assert run(["census", "--n", "0"]) == 2
-    assert run(["census", "--n", "6"]) == 2
-    err = capsys.readouterr().err
-    assert "--long-run" in err
-    assert run(["census", "--n", "7", "--long-run"]) == 2
-    assert capsys.readouterr().err == "error: census supports 1 <= n <= 6\n"
+    for n in ("0", "7"):
+        assert run(["census", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: census supports 1 <= n <= 6\n"
+    assert run(["census", "--n", "5", "--long-run"]) == 2
+    assert "unrecognized arguments: --long-run" in capsys.readouterr().err
+
+
+def test_census_n6_needs_no_flag(monkeypatch, capsys):
+    """n = 6 runs like any n up to CENSUS_MAX_N; a stub stands in for
+    the ten-second census."""
+    asked = []
+
+    def stub(n):
+        asked.append(n)
+        return CensusReport(n, 357468, 347287, ())
+
+    monkeypatch.setattr(cli, "classification_census", stub)
+    assert run(["census", "--n", "6"]) == 0
+    assert asked == [6]
+    assert capsys.readouterr().out == "6,357468,347287,0\n"
 
 
 def test_entropic_compare(tmp_path, capsys):

@@ -16,6 +16,7 @@ from gdag_lab.catalog import (
     extended_bell_gdag,
     instrumental_gdag,
     one_sided_bell_gdag,
+    triangle_gdag,
 )
 from gdag_lab.cones import (
     Cone,
@@ -30,6 +31,7 @@ from gdag_lab.cones import (
     elemental_inequalities,
     implied_by,
 )
+from gdag_lab.graph import GDag, NodeKind
 from gdag_lab.linprog import nonneg_combination
 from gdag_lab.models import entropy, observed_from_classical_gmc
 
@@ -149,6 +151,23 @@ def test_cone_rejects_repeated_variables():
     # with "A" twice, subset masks 1 and 2 would both mean {A}
     with pytest.raises(ConeError, match="repeated cone variable"):
         Cone(("A", "A"), ((1, 0, 0),))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Cone(("A", "B"), ((1, 0),)), "row length does not match variable count"),
+        (lambda: elemental_inequalities(()), "need at least one variable"),
+        (lambda: elemental_inequalities(tuple("ABCDEFGHI")), "too many variables"),
+        (lambda: derive_independence_cone(GDag([("L", NodeKind.UNOBSERVED)])),
+         "graph has no observed nodes"),
+    ],
+    ids=["row-length", "no-variable", "nine-variables", "no-observed-node"],
+)
+def test_cone_input_checks(make, message):
+    with pytest.raises(ConeError) as e:
+        make()
+    assert str(e.value) == message
 
 
 def test_cone_rows_keep_sign():
@@ -279,8 +298,6 @@ def test_one_sided_bell_cones():
 def test_size_guard():
     big = random_gdag(Random(0), max_nodes=6)
     # force an oversized graph
-    from gdag_lab.graph import GDag, NodeKind
-
     g = GDag([(f"N{i}", NodeKind.OBSERVED) for i in range(7)])
     with pytest.raises(ConeError):
         derive_classical_cone(g)
@@ -609,6 +626,55 @@ def test_catalog_cones_need_no_exact_solve(make, monkeypatch):
     _cone_answers(make())
     assert optima
     assert all(min(abs(v), abs(v - 1)) <= 1e-9 for v in optima)
+
+
+@pytest.mark.parametrize(
+    "make, every", [(bell_gdag, 1), (triangle_gdag, 20)], ids=["bell", "triangle"]
+)
+def test_non_optimal_solve_decides_nothing(make, every, monkeypatch):
+    """A HiGHS solve that does not end optimal clears the solver and
+    leaves the check to the exact simplex, so the cones are unchanged.
+    Every solve is refused on Bell; every 20th on the triangle, where
+    refusing all of them costs about a minute of exact solves, and where
+    refused solves then interleave with solves from a kept basis."""
+    pytest.importorskip("scipy.optimize")
+    from scipy.optimize._highspy import _core
+
+    g = make()
+    expected = (derive_classical_cone(g).to_json(), derive_independence_cone(g).to_json())
+    statuses = cleared = 0
+
+    class Refusing:
+        """A HiGHS model whose every ``every``-th status is kNotset."""
+
+        def __init__(self, highs):
+            self.highs = highs
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def getModelStatus(self):
+            nonlocal statuses
+            statuses += 1
+            if statuses % every:
+                return self.highs.getModelStatus()
+            return _core.HighsModelStatus.kNotset
+
+        def clearSolver(self):
+            nonlocal cleared
+            cleared += 1
+            return self.highs.clearSolver()
+
+    init = cones._HighsLp.__init__
+
+    def refusing_init(self, np, a):
+        init(self, np, a)
+        self.highs = Refusing(self.highs)
+
+    monkeypatch.setattr(cones._HighsLp, "__init__", refusing_init)
+    answers = (derive_classical_cone(g).to_json(), derive_independence_cone(g).to_json())
+    assert answers == expected
+    assert cleared == statuses // every > 0
 
 
 @pytest.mark.parametrize("make", [one_sided_bell_gdag, instrumental_gdag])

@@ -28,7 +28,12 @@ from gdag_lab.enumeration import (
 from gdag_lab.graph import GDag, NodeKind, _masks_of_children
 
 from generators import random_gdag
-from oracles import canonical_key_oracle, labelled_scan_oracle
+from oracles import (
+    applicable_reductions_oracle,
+    apply_reduction_oracle,
+    canonical_key_oracle,
+    labelled_scan_oracle,
+)
 
 OBS = NodeKind.OBSERVED
 UNOBS = NodeKind.UNOBSERVED
@@ -152,10 +157,11 @@ def test_extension_keys_match_code_of_masks(m):
 @pytest.fixture(scope="module")
 def condition_oracle() -> dict[int, bool]:
     """Whether ``sufficient_condition_holds`` finds a certificate, for
-    every class of 1 to 5 nodes, by key."""
+    every class of 0 to 5 nodes, by key: the survivor search reads every
+    class of at most its graph's size, the empty graph's too."""
     return {
         key: sufficient_condition_holds(_graph_of_key(m, key)) is not None
-        for m in range(1, 6)
+        for m in range(6)
         for key in _class_codes(m)
     }
 
@@ -187,6 +193,43 @@ def test_census_survivors_in_scan_order(n, monkeypatch, condition_oracle):
     swapped = classification_census(n)
     assert swapped.csv_row() == r.csv_row()
     assert swapped.survivors == tuple(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([0.35, 0.6]))
+def test_elimination_moves_shrink_and_match_oracle(seed, p_unobserved):
+    """Every move of the survivor search removes a node, or keeps the
+    nodes and removes an edge; and the moves reach, with multiplicity,
+    the classes of the reference: each applicable reduction rule, each
+    observed node removed, and each edge into an observed node whose
+    parents are all observed removed."""
+    g = random_gdag(Random(seed), max_nodes=7, p_unobserved=p_unobserved)
+    moves = list(enumeration._elimination_moves(g))
+    for h in moves:
+        assert (len(h.names), len(h.edges)) < (len(g.names), len(g.edges))
+    expected = [apply_reduction_oracle(g, r) for r in applicable_reductions_oracle(g)]
+    expected += [g.without_nodes([x]) for x in g.observed_nodes()]
+    expected += [
+        g.without_edge(y, x)
+        for x in g.observed_nodes()
+        if g.parents(x) and all(g.is_observed(y) for y in g.parents(x))
+        for y in g.parents(x)
+    ]
+    assert Counter(map(canonical_key, moves)) == Counter(map(canonical_key, expected))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_survivors_do_not_depend_on_move_order(n, monkeypatch):
+    """The survivor search asks only whether some reachable graph fails,
+    so trying each graph's moves in reverse leaves the census as it is."""
+    r = classification_census(n)
+    moves = enumeration._elimination_moves
+    monkeypatch.setattr(
+        enumeration, "_elimination_moves", lambda g: reversed(list(moves(g)))
+    )
+    reversed_moves = classification_census(n)
+    assert reversed_moves.csv_row() == r.csv_row()
+    assert reversed_moves.survivors == r.survivors
 
 
 def _record_decisions(monkeypatch, n: int, record) -> None:

@@ -246,6 +246,54 @@ def test_classical_gmc_validation():
         ClassicalGmcModel(chain(), {}, {"X": Kernel("X", 2, (), (), (), {(): (H, H)})})
 
 
+def _with_kernel(name: str, kernel: Kernel) -> ClassicalGmcModel:
+    """The shared-coin model with ``kernel`` filed under ``name``."""
+    m = shared_coin_model()
+    return ClassicalGmcModel(m.gdag, m.edge_cards, {**m.kernels, name: kernel})
+
+
+_EA, _EB = ("L", "A"), ("L", "B")
+_P = Distribution((("A", 2), ("B", 2)), (H, Q, Q, Fraction(0)))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Kernel("A", 2, (), (), (), {(): (H, Q, Q)}),
+         "kernel row () has wrong length"),
+        (lambda: _with_kernel("X", Kernel("Z", 2, (), (), (), {(): (H, H)})),
+         "kernel node mismatch at 'X'"),
+        (lambda: _with_kernel("A", Kernel(
+            "A", 2, (), ((_EA, 2),), (), {(m,): (H, H) for m in range(2)})),
+         "kernel observed parents mismatch at 'A'"),
+        (lambda: _with_kernel("B", Kernel("B", 2, (), (), (), {(): (H, H)})),
+         "kernel in-edges mismatch at 'B'"),
+        (lambda: _with_kernel("L", Kernel("L", 1, (), (), ((_EA, 2),), {(): (H, H)})),
+         "kernel out-edges mismatch at 'L'"),
+        (lambda: _with_kernel("L", Kernel(
+            "L", 2, (), (), ((_EA, 2), (_EB, 2)), {(): (Fraction(1, 8),) * 8})),
+         "unobserved node 'L' must have 1-valued output"),
+        (lambda: _P.prob((0, 2)), "value 2 out of range for 'B'"),
+        (lambda: _P.marginal(["Z"]), "unknown variable 'Z'"),
+        (lambda: _P.card("Z"), "unknown variable 'Z'"),
+        (lambda: mutual_information(_P, {"A"}, {"A", "B"}), "overlapping variable sets"),
+        (lambda: conditional_mutual_information(_P, {"A"}, {"B"}, {"B"}),
+         "overlapping variable sets"),
+    ],
+    ids=[
+        "row-length", "filed-elsewhere", "observed-parents", "in-edges",
+        "out-edges", "latent-output", "prob-range", "marginal", "card",
+        "I-overlap", "I-given-overlap",
+    ],
+)
+def test_model_input_checks(make, message):
+    """Each malformed model or query is refused with a message naming
+    what is wrong."""
+    with pytest.raises(ModelError) as e:
+        make()
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("declared", [1, 3])
 def test_kernel_parent_cardinality_must_match(declared):
     """A kernel's observed-parent cardinality must equal that parent's
