@@ -9,7 +9,8 @@ unobserved node feeding it; every ordering paired with every root choice
 is complete for the condition.  The certificate is the first winning
 branch of that loop, found in one depth-first search over ordering
 prefixes that follows each placement state, which many branches share,
-once; final graphs are tested on parent masks.
+once, and drops a state as soon as the observed nodes whose parents it
+has fixed fail a local-Markov statement.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import GDag, NodeKind, _bits
-from .dsep import _markov_holds, ci_subset
-# perfbench/spans.py wraps classify._dsep_mask and classify.ci_subset by name.
-from .dsep import _dsep_mask  # noqa: F401
+from .dsep import _dsep_mask, ci_subset
 
 
 class TransformError(ValueError):
@@ -206,59 +205,82 @@ def _place(
         par[j] |= 1 << t
 
 
-def _passes(g: GDag, par: list[int], tried: dict[tuple[int, ...], bool]) -> bool:
-    """Whether the all-observed graph left by the parent masks ``par``
-    needs no observable independence that ``g`` lacks; answers are
-    cached in ``tried`` by the observed nodes' observed-parent masks."""
-    final = {i: par[i] & g.observed_mask for i in _bits(g.observed_mask)}
-    key = tuple(final.values())
-    if key not in tried:
-        tried[key] = _markov_holds(g, final)
-    return tried[key]
+def _settle(g: GDag, par: list[int], done: int, settled: int, memo: dict) -> Optional[int]:
+    """Grow ``done``, a set of observed nodes closed under observed
+    parents, to the largest such subset of ``settled`` (observed nodes
+    whose masks in ``par`` are final), testing each added node's ordered
+    local-Markov statement in ``g`` in ``_ready_order``; the grown set,
+    or None when one fails.  ``memo`` maps (node, rest, parents) to the
+    statement's answer."""
+    obs = g.observed_mask
+    m = settled & ~done
+    while m:
+        low = m & -m
+        m ^= low
+        pa = par[low.bit_length() - 1] & obs
+        if pa & ~done:
+            continue
+        rest = done & ~pa
+        if rest:
+            key = (low, rest, pa)
+            if key not in memo:
+                memo[key] = _dsep_mask(g, low, rest, pa)
+            if not memo[key]:
+                return None
+        done |= low
+        m = settled & ~done
+    return done
 
 
 def _first_win(
     g: GDag, order: tuple[int, ...], left: int,
-    states: dict[int, tuple[list[int], tuple[int, ...]]],
+    states: dict[int, tuple[list[int], tuple[int, ...], int]],
     tricky: list[int], candidates: dict[int, list[int]],
-    failed: set[int], tried: dict[tuple[int, ...], bool],
+    failed: set[int], memo: dict[tuple[int, int, int], bool],
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first winning branch (ordering, roots) extending ``order`` in
     the loop over orderings and then root tuples, or None.
 
     ``states`` maps each placement state ``order`` reaches (keyed by the
     unplaced tricky set ``left`` packed with the tricky masks) to its
-    parent masks and the first root tuple reaching it, in that tuple's
-    order, so at a full ordering the first state that passes is the
-    loop's first winner.  A state whose subtree has no winner joins
-    ``failed`` and is never expanded again."""
-    if not left:
-        for par, roots in states.values():
-            if _passes(g, par, tried):
-                return order, roots
-    else:
-        n = len(g.names)
-        unobs = g.all_mask & ~g.observed_mask
-        for t in _bits(left):
-            rest = left & ~(1 << t)
-            later = tuple(_bits(rest))
-            nxt: dict[int, tuple[list[int], tuple[int, ...]]] = {}
-            for par, roots in states.values():
-                for r in candidates[t]:
-                    p = list(par)
-                    _place(p, t, r, later, unobs)
-                    key, shift = rest, n
-                    for u in tricky:
-                        key |= p[u] << shift
-                        shift += n
-                    if key not in failed and key not in nxt:
-                        nxt[key] = p, roots + (r,)
-            if nxt:
-                win = _first_win(
-                    g, order + (t,), rest, nxt, tricky, candidates, failed, tried
-                )
-                if win:
-                    return win
+    parent masks, the first root tuple reaching it and the settled set
+    of the state it came from, in that tuple's order.  A state is
+    settled when it is expanded, over the observed nodes outside
+    ``left``, and joins ``failed`` if a statement fails; with ``left``
+    empty every observed node is settled, so the first state that passes
+    is the loop's first winner.  A state whose subtree has no winner
+    joins ``failed`` and is never expanded again."""
+    live, settled = [], g.observed_mask & ~left
+    for key, (par, roots, done) in states.items():
+        done = _settle(g, par, done, settled, memo)
+        if done is None:
+            failed.add(key)
+        elif not left:
+            return order, roots
+        else:
+            live.append((par, roots, done))
+    n = len(g.names)
+    unobs = g.all_mask & ~g.observed_mask
+    for t in _bits(left):
+        rest = left & ~(1 << t)
+        later = tuple(_bits(rest))
+        nxt: dict[int, tuple[list[int], tuple[int, ...], int]] = {}
+        for par, roots, done in live:
+            for r in candidates[t]:
+                p = list(par)
+                _place(p, t, r, later, unobs)
+                key, shift = rest, n
+                for u in tricky:
+                    key |= p[u] << shift
+                    shift += n
+                if key not in failed and key not in nxt:
+                    nxt[key] = p, roots + (r,), done
+        if nxt:
+            win = _first_win(
+                g, order + (t,), rest, nxt, tricky, candidates, failed, memo
+            )
+            if win:
+                return win
     failed.update(states)
     return None
 
@@ -270,13 +292,17 @@ def _winning_branch(g) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 
     One depth-first search over ordering prefixes finds it: each prefix
     carries the distinct placement states it reaches, so branches that
-    meet in a state are followed once, and a state whose subtree has no
-    winner is never expanded again.  Final graphs are tested on parent
-    masks, and no graph is built.  ``g`` is read only through its node
-    count (``len(g.names)``), ``all_mask``, ``observed_mask``,
-    ``parent_mask``, ``child_mask`` and ``anc_mask``, so the census
-    passes the masks of each class's first sink extension instead of a
-    GDag.
+    meet in a state are followed once.  The parent masks of placed tricky
+    and of non-tricky observed nodes are final, so the largest set A of
+    these closed under observed parents is ancestral in every final
+    graph below a state, with the same d-separations in each: a failing
+    statement of A's ordered local-Markov list fails them all, and the
+    state is dropped.  Only subtrees with no winner are cut, in the same
+    order, so the first winner is the loop's.  No graph is built.  ``g``
+    is read only through its node count (``len(g.names)``), ``all_mask``,
+    ``observed_mask``, ``parent_mask``, ``child_mask`` and ``anc_mask``,
+    so the census passes the masks of each class's first sink extension
+    instead of a GDag.
     """
     par = _closure(g)
     unobs = g.all_mask & ~g.observed_mask
@@ -294,7 +320,7 @@ def _winning_branch(g) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 
     left = sum(1 << t for t in tricky)
     # The start state is never looked up, so any key serves.
-    return _first_win(g, (), left, {-1: (par, ())}, tricky, candidates, set(), {})
+    return _first_win(g, (), left, {-1: (par, (), 0)}, tricky, candidates, set(), {})
 
 
 def sufficient_condition_holds(g: GDag) -> Optional[Certificate]:

@@ -38,9 +38,9 @@ from gdag_lab.classify import (
     reduce,
     sufficient_condition_holds,
 )
-from gdag_lab.dsep import ci_subset, d_separated
+from gdag_lab.dsep import ci_subset, d_separated, observable_ci_set
 from gdag_lab.enumeration import enumerate_gdags
-from gdag_lab.graph import GDag, NodeKind, _ready_order
+from gdag_lab.graph import GDag, NodeKind, _bits, _ready_order
 
 from generators import latent_chain, random_gdag
 from oracles import (
@@ -292,14 +292,91 @@ def test_decision_matches_exhaustive_oracle(g):
         assert cert.verify()
 
 
+def _pruned_states(g: GDag) -> list[tuple[int, list[int], int]]:
+    """Run the search on ``g`` and return, for each state it drops, the
+    settled mask, the parent masks and the set the failing statement
+    ranges over (node, rest and parents): the prefix of A's list that
+    already fails.  The failing statement is found by settling the
+    state again with a fresh memo, so that every statement is tested."""
+    settle, dsep_mask = classify._settle, classify._dsep_mask
+    calls = []
+
+    def recording(h, xm, ym, zm):
+        calls.append((xm | ym | zm, dsep_mask(h, xm, ym, zm)))
+        return calls[-1][1]
+
+    pruned = []
+
+    def spy(h, par, done, settled, memo):
+        out = settle(h, par, done, settled, memo)
+        if out is None:
+            calls.clear()
+            assert settle(h, par, done, settled, {}) is None
+            a, ok = calls[-1]
+            assert not ok
+            pruned.append((settled, list(par), a))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_settle", spy)
+        m.setattr(classify, "_dsep_mask", recording)
+        _winning_branch(g)
+    return pruned
+
+
+def _check_pruned(g: GDag, pruned) -> None:
+    """Each dropped state's failing set A holds settled nodes only, is
+    closed under observed parents, and its induced all-observed DAG has
+    an observable independence (by the triple scan) that ``g`` lacks, so
+    no completion of the state can pass."""
+    obs = g.observed_mask
+    seen = set()
+    for settled, par, a in pruned:
+        assert not a & ~settled and not settled & ~obs
+        fam = tuple(par[i] & obs for i in _bits(a))
+        assert all(not pa & ~a for pa in fam)
+        if (a, fam) in seen:
+            continue
+        seen.add((a, fam))
+        h = GDag(
+            [(g.names[i], OBS) for i in _bits(a)],
+            [(g.names[p], g.names[i]) for i, pa in zip(_bits(a), fam) for p in _bits(pa)],
+        )
+        assert any(not d_separated(g, s.x, s.y, s.z) for s in observable_ci_set(h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10 ** 9).map(
+        lambda seed: random_gdag(Random(seed), max_nodes=8, p_unobserved=0.5)
+    ),
+    _latent_gdags(),
+))
+def test_pruned_states_fail_in_every_completion(g):
+    """The search drops a placement state only when a prefix of an
+    ancestral set's local-Markov list fails in g."""
+    _check_pruned(g, _pruned_states(g))
+
+
+@pytest.mark.parametrize("links", [False, True], ids=["chain", "linked"])
+def test_latent_chain_pruning_reasons(links):
+    """Both chain families drop states before their orderings complete,
+    each for a failing ancestral prefix."""
+    pruned = _pruned_states(latent_chain(6, links))
+    assert pruned
+    _check_pruned(latent_chain(6, links), pruned)
+
+
 @pytest.mark.parametrize("links", [False, True], ids=["chain", "linked"])
 def test_latent_chains_fail(links):
     """Exhaustive searches: the oracle agrees up to 5 observed nodes, and
-    8 observed nodes (8! orderings) are decided on placement states."""
+    8 and 9 observed nodes (9! orderings) and the 12-observed linked chain
+    are decided on placement states, most dropped early."""
     for k in (4, 5):
         assert search_oracle(latent_chain(k, links)) is None
         assert sufficient_condition_holds(latent_chain(k, links)) is None
-    assert sufficient_condition_holds(latent_chain(8, links)) is None
+    for k in (8, 9) + ((12,) if links else ()):
+        assert sufficient_condition_holds(latent_chain(k, links)) is None
 
 
 @pytest.mark.parametrize(

@@ -388,6 +388,15 @@ def test_classify_unknown_latent_chain_8_observed(tmp_path, capsys):
     assert capsys.readouterr().out == "unknown\n"
 
 
+def test_classify_unknown_latent_chain_12_observed(tmp_path, capsys):
+    """12! orderings: decided in well under a second, as nearly every
+    placement state is dropped by its settled local-Markov prefix."""
+    gp = tmp_path / "chain.json"
+    gp.write_text(latent_chain(12, True).to_json())
+    assert run(["classify", str(gp)]) == 1
+    assert capsys.readouterr().out == "unknown\n"
+
+
 #: ``gdag-lab reduce`` stdout, byte for byte.
 REDUCED = {
     "triangle": (
