@@ -320,29 +320,23 @@ def _exact_dtype(np, peak: int, weight: int):
 def _rows_implies(
     rows: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> bool:
-    """Is target a nonnegative combination of rows?
-
-    A float LP, when SciPy is installed, only proposes a certificate:
-    "implied" needs multipliers that combine to target in integers, or
-    an exact solve on the proposed support; "not implied" an exact
-    integer Farkas check.  The LP is a ``_FloatRows`` model with target
-    as its last row, the tested one.  Without SciPy, or when the
-    proposal does not verify, the exact simplex decides.
-    """
-    if not rows or not any(target):
-        return not any(target)
-    np = _numpy()
-    answer = None
-    if np is not None:
-        answer = _FloatRows(np, [*rows, target], None).proposal(len(rows))
-    return _exact_implies(rows, target) if answer is None else answer
+    """Is target a nonnegative combination of rows?  A ``_minimize``
+    pass in which every row but target is irredundant tests target alone,
+    against all the rows, and drops it exactly when it is implied.  A
+    zero target, which that pass would keep with no rows, and a copy of a
+    row, which its deduplication would keep, are implied outright."""
+    return (
+        not any(target)
+        or target in rows
+        or target not in _minimize([*rows, target], frozenset(rows))
+    )
 
 
 class _FloatRows:
-    """One ``_minimize`` or ``_rows_implies`` pass on the coordinates its
-    rows mention: the rows' integer matrix, which decides every check,
-    and one HiGHS model of its float copy, which only proposes.  A row
-    is live until it is tested, and again once it is kept.
+    """One ``_minimize`` pass on the coordinates its rows mention: the
+    rows' integer matrix, which decides every check, and one HiGHS model
+    of its float copy, which only proposes.  A row is live until it is
+    tested, and again once it is kept.
 
     ``pool`` holds integer Farkas vectors in full coordinates.  Each is
     multiplied by the rows once, exactly, when the pass starts; vectors

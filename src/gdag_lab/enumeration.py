@@ -10,17 +10,18 @@ is one int that also encodes the node count (see ``_code_of_masks``), so
 keys of graphs of different sizes never collide.  The extensions of one
 class share its masks and its relabelling sums (see ``_extensions``).
 
-The census runs the sink-extension loop itself, level by level; its
-condition memo over every level is its seen-set.  A class is searched
-only when its new sink is observed with an unobserved parent, on the
-masks of the extension that first met it; any other class takes the
-smaller class's answer.  Survivors are the condition-failing graphs
-from which the survivor search's moves reach no condition-failing
-graph: the reduction rules, and removing an observed node (as if it
-took one outcome) or an edge into an all-observed family, two one-way
-moves that are not rules (see ``_elimination_moves``).  Survivors are
-listed in the order their classes first occur in the labelled scan
-(see ``_scan_rank``).
+One level walk (see ``_levels``) builds the classes of 0, 1, ..., n
+nodes; its memo over every level is its seen-set.  Enumeration reads
+the n-node level's keys and searches nothing.  The census passes the
+certificate search, which runs only when a class's new sink is
+observed with an unobserved parent, on the masks of the extension that
+first met it; any other class takes the smaller class's answer.
+Survivors are the condition-failing graphs from which the survivor
+search's moves reach no condition-failing graph: the reduction rules,
+and removing an observed node (as if it took one outcome) or an edge
+into an all-observed family, two one-way moves that are not rules (see
+``_elimination_moves``).  Survivors are listed in the order their
+classes first occur in the labelled scan (see ``_scan_rank``).
 """
 
 from __future__ import annotations
@@ -229,26 +230,51 @@ def _extensions(
         yield kind, keys, partial(masks, kind)
 
 
+def _levels(n: int, search) -> tuple[dict[int, bool], int]:
+    """The classes of 0, 1, ..., n nodes, level by level, as a memo from
+    each class's canonical key to an answer, in the order the classes are
+    first met, and the index in it where the n-node level starts.
+
+    Every DAG has a sink, and deleting it leaves a DAG one node smaller,
+    so every m-node class is an (m-1)-node class plus a new sink of
+    either kind with some parent set.  Level 0 is the empty graph; each
+    later level is every extension (see ``_extensions``) of the last
+    level's classes, and a key gets its answer only when the memo does
+    not hold it yet, so the memo is also the seen-set.
+
+    The empty graph, and a class first met through an observed sink with
+    an unobserved parent, with parent set p, get ``search(masks, p)``:
+    ``masks(p)`` builds that extension's masks (see ``_ClassMasks``), so
+    a search that never reads them builds none.  Any other class takes
+    the answer of the class it extends.  For the certificate search that
+    is the class's own answer: a childless sink is never tricky nor a
+    candidate root, so the search runs as on the base, and each final
+    graph's test is the base's plus, for an observed sink, the sink's
+    own local-Markov statement, which holds (see the README).  Whether a winning branch exists does not depend
+    on the labelling, so the first extension's masks decide the class.
+    """
+    empty = _ClassMasks((), 0, 0, (), (), ())
+    memo = {_code_of_masks([], []): search(lambda p: empty, 0)}
+    start = 0
+    for m in range(n):
+        bases = list(islice(memo.items(), start, None))
+        start = len(memo)
+        for base, held in bases:
+            # The base's canonical form numbers its unobserved nodes k..m-1.
+            k = _observed_count(m, base)
+            for kind, keys, masks in _extensions(m, base):
+                for p, key in enumerate(keys):
+                    if key not in memo:
+                        memo[key] = held if kind or not p >> k else search(masks, p)
+    return memo, start
+
+
 def _class_codes(n: int) -> Iterator[int]:
     """The canonical key (see ``_code_of_masks``) of every n-node
-    isomorphism class, each once.
-
-    Every DAG has a sink, and deleting it leaves an (n-1)-node DAG, so
-    every n-node class is an (n-1)-node class plus a new sink of either
-    kind with some parent set.  Only the (n-1)-node keys are held as a
-    list; every extension of each is keyed (see ``_extensions``), and
-    the n-node keys are yielded as first seen, from the empty graph up.
-    """
-    if n == 0:
-        yield _code_of_masks([], [])
-        return
-    seen: set[int] = set()
-    for base in list(_class_codes(n - 1)):
-        for _, keys, _ in _extensions(n - 1, base):
-            for key in keys:
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+    isomorphism class, each once, in the order the level walk (see
+    ``_levels``) first meets them; its search reads no masks."""
+    memo, start = _levels(n, lambda masks, p: True)
+    return islice(memo, start, None)
 
 
 def enumerate_gdags(n: int) -> Iterator[GDag]:
@@ -353,41 +379,16 @@ def classification_census(n: int) -> CensusReport:
     since the search answers each failure alone (``cond`` only memoises
     the condition).
 
-    The classes of 1, 2, ..., n nodes are built level by level from the
-    last level's extensions (see ``_extensions``); a key not yet in
-    ``cond`` gets its answer from the extension that first meets it, so
-    ``cond`` is also the seen-set.  If the new sink is unobserved, or
-    observed with only observed parents, that is the base class's
-    answer: a childless sink is never tricky nor a candidate root, so
-    the search runs as on the base, and each final graph's test is the
-    base's plus, for an observed sink, the sink's own local-Markov
-    statement, which holds (see the README).  The rest are searched on
-    the extension's masks; whether a winning branch exists does not
-    depend on the labelling.  Counts and failures are read off the
-    n-node level.  A class that passes costs no GDag and no
-    certificate.  Failures are held as keys, not graphs, and each graph
-    is rebuilt for its search: a GDag takes about 1.2 KB, and n = 6 has
-    10,181 failures.
+    ``cond`` is the level walk's memo (see ``_levels``), whose search is
+    the certificate search on the masks of the extension that first
+    meets a class.  Counts and failures are read off its n-node level.
+    A class that passes costs no GDag and no certificate.  Failures are
+    held as keys, not graphs, and each graph is rebuilt for its search:
+    a GDag takes about 1.2 KB, and n = 6 has 10,181 failures.
     """
     if not 1 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 1 <= n <= {CENSUS_MAX_N}")
-    # Level 0 is the empty graph, whose answer the one-node classes take.
-    empty = _ClassMasks((), 0, 0, (), (), ())
-    cond = {_code_of_masks([], []): _winning_branch(empty) is not None}
-    start = 0
-    for m in range(n):
-        bases = list(islice(cond.items(), start, None))
-        start = len(cond)
-        for base, held in bases:
-            # The base's canonical form numbers its unobserved nodes k..m-1.
-            k = _observed_count(m, base)
-            for kind, keys, masks in _extensions(m, base):
-                for p, key in enumerate(keys):
-                    if key not in cond:
-                        cond[key] = (
-                            held if kind or not p >> k
-                            else _winning_branch(masks(p)) is not None
-                        )
+    cond, start = _levels(n, lambda masks, p: _winning_branch(masks(p)) is not None)
     failures = [key for key, v in islice(cond.items(), start, None) if not v]
     total = len(cond) - start
     survivors = []

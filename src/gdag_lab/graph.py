@@ -193,17 +193,6 @@ class GDag:
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 
-    def inclusive_ancestors(self, u: Iterable[str]) -> frozenset[str]:
-        """An(u): u together with every ancestor of a member of u."""
-        m = 0
-        for i in _bits(self.mask_of(u)):
-            m |= self.anc_mask[i]
-        return self.names_of(m)
-
-    def topological_order(self) -> tuple[str, ...]:
-        order = _ready_order(self.parent_mask, self.all_mask)
-        return tuple(self.names[i] for i in order)
-
     # -- derived graphs ------------------------------------------------
 
     def with_edge(self, a: str, b: str) -> "GDag":

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
+from math import comb, factorial, gcd, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from gdag_lab.classify import (
@@ -65,6 +67,72 @@ def labelled_scan_oracle(n: int) -> Iterator[tuple[list[int], list[int]]]:
                 child_mask[i] |= 1 << j
         for kind_bits in range(1 << n):
             yield [(kind_bits >> i) & 1 for i in range(n)], child_mask
+
+
+def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``most``, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+@cache
+def fixed_dag_count(cycles: tuple[int, ...]) -> int:
+    """The number of labelled DAGs on the nodes of a permutation sigma
+    whose cycle lengths are ``cycles`` (sorted) that sigma maps to
+    themselves.
+
+    The sinks of such a DAG are a union of sigma's cycles.  By
+    inclusion-exclusion over the nonempty unions S of cycles that are
+    all sinks, f(V) = sum (-1)^(c(S)+1) * 2^o(S) * f(V minus S), where
+    c(S) counts S's cycles and o(S) the sigma-orbits of the possible
+    edges from V minus S into S: gcd(a, b) per pair of an a-cycle
+    outside S and a b-cycle in S.  No edge joins two nodes of S, nor
+    two nodes of one cycle, which would close a directed cycle."""
+    if not cycles:
+        return 1
+    lengths = sorted(set(cycles))
+    counts = [cycles.count(a) for a in lengths]
+    total = 0
+    for picks in product(*(range(c + 1) for c in counts)):
+        if not any(picks):
+            continue
+        sinks = [a for a, j in zip(lengths, picks) for _ in range(j)]
+        rest = tuple(a for a, c, j in zip(lengths, counts, picks) for _ in range(c - j))
+        ways = prod(comb(c, j) for c, j in zip(counts, picks))
+        orbits = sum(gcd(a, b) for a in rest for b in sinks)
+        sign = 1 if len(sinks) % 2 else -1
+        total += sign * ways * 2 ** orbits * fixed_dag_count(rest)
+    return total
+
+
+def _centraliser(cycles: tuple[int, ...]) -> int:
+    """How many permutations commute with one of cycle type ``cycles``:
+    the product of a**m * m! over lengths a occurring m times."""
+    return prod(a ** cycles.count(a) * factorial(cycles.count(a)) for a in set(cycles))
+
+
+def class_counts(n: int) -> list[int]:
+    """Entry k is the number of n-node GDAGs with k observed nodes up to
+    kind-preserving isomorphism, by Burnside's lemma: the classes are the
+    orbits of S_k x S_(n-k) on labelled DAGs whose first k nodes are
+    observed, so their number is the average of ``fixed_dag_count`` over
+    that group, in which n!/z permutations have a cycle type whose
+    ``_centraliser`` is z.  Shares no code with the sink-extension walk."""
+    counts = []
+    for k in range(n + 1):
+        total = sum(
+            fixed_dag_count(tuple(sorted(obs + unobs)))
+            * (factorial(k) // _centraliser(obs))
+            * (factorial(n - k) // _centraliser(unobs))
+            for obs in _partitions(k, k)
+            for unobs in _partitions(n - k, n - k)
+        )
+        counts.append(total // (factorial(k) * factorial(n - k)))
+    return counts
 
 
 def dsep_moral_oracle(g: GDag, x, y, z) -> bool:

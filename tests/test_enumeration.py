@@ -1,6 +1,6 @@
 from collections import Counter
 from hashlib import sha256
-from itertools import combinations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -32,6 +32,8 @@ from oracles import (
     applicable_reductions_oracle,
     apply_reduction_oracle,
     canonical_key_oracle,
+    class_counts,
+    fixed_dag_count,
     labelled_scan_oracle,
 )
 
@@ -462,13 +464,66 @@ def test_census_sizes_are_checked_before_keying(n, monkeypatch):
     def no_keys(*args):
         raise AssertionError("a key was computed")
 
-    for name in ("_class_codes", "_extensions", "_code_of_masks"):
+    for name in ("_levels", "_class_codes", "_extensions", "_code_of_masks"):
         monkeypatch.setattr(enumeration, name, no_keys)
     message = rf"census supports 1 <= n <= {CENSUS_MAX_N}"
     with pytest.raises(ValueError, match=message):
         classification_census(n)
     with pytest.raises(ValueError, match=message):
         enumerate_gdags(n)
+
+
+def _is_acyclic(n: int, edges) -> bool:
+    """Can the nodes be removed one by one, each with no edge into it
+    from a node still left?"""
+    left = set(range(n))
+    while left:
+        free = [w for w in left if not any(v in left for v, x in edges if x == w)]
+        if not free:
+            return False
+        left.remove(free[0])
+    return True
+
+
+def _cycle_lengths(sigma) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for v in range(len(sigma)):
+        length = 0
+        while v not in seen:
+            seen.add(v)
+            v = sigma[v]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_fixed_dag_counts_match_brute_force(n):
+    """For every permutation sigma of n nodes, the oracle's count of the
+    labelled DAGs sigma fixes equals that of a scan over every labelled
+    digraph without loops."""
+    pairs = [(v, w) for v in range(n) for w in range(n) if v != w]
+    dags = []
+    for flags in product((0, 1), repeat=len(pairs)):
+        edges = {e for e, f in zip(pairs, flags) if f}
+        if _is_acyclic(n, edges):
+            dags.append(edges)
+    assert len(dags) == [1, 1, 3, 25, 543][n]
+    for sigma in permutations(range(n)):
+        fixed = sum({(sigma[v], sigma[w]) for v, w in edges} == edges for edges in dags)
+        assert fixed_dag_count(_cycle_lengths(sigma)) == fixed
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_class_counts_match_burnside_oracle(n):
+    """The level walk's n-node classes by observed count, and the
+    census's total, equal the Burnside count, which shares no code with
+    them."""
+    counts = Counter(_observed_count(n, key) for key in _class_codes(n))
+    assert [counts[k] for k in range(n + 1)] == class_counts(n)
+    if n:
+        assert classification_census(n).total == sum(class_counts(n))
 
 
 def test_enumeration_count_four():
@@ -577,6 +632,4 @@ def test_census_n6(monkeypatch):
     assert sha256(lines.encode()).hexdigest() == (
         "6aa007dee5143dafe6a20d959a1c3ea45ed6ab62fc7c9abf277b5041a465c1a9"
     )
-    assert [latent[u] for u in range(7)] == [
-        5984, 34206, 83396, 110296, 83396, 34206, 5984
-    ]
+    assert [latent[6 - k] for k in range(7)] == class_counts(6)
