@@ -26,13 +26,12 @@ MAX_CONE_NODES = 6
 _MAX_VARIABLES = 8
 
 
-#: Float threshold of the HiGHS proposal in ``_FloatRows.confirm``, whose
-#: LP optimum is 0 or 1: one above it proposes a Farkas vector; otherwise
-#: the row duals above it propose the multipliers of the target, and
-#: their support a smaller exact solve.  Each proposed value is
-#: rationalised to the first continued-fraction convergent within
-#: ``LP_TOL * max(1, |v|)``.  It only chooses which exact check runs and
-#: never decides an answer.
+#: Float threshold of the HiGHS proposals in ``_FloatRows.confirm``: the
+#: multipliers above it propose the target's support, and a smaller
+#: exact solve; in the bounded form, an optimum above it proposes a
+#: Farkas vector.  Each proposed value is rationalised to the first
+#: continued-fraction convergent within ``LP_TOL * max(1, |v|)``.  It
+#: only chooses which exact check runs and never decides an answer.
 LP_TOL = 1e-9
 
 
@@ -73,6 +72,10 @@ class LinIneq:
     coeffs: dict[frozenset[str], Fraction]
 
     def __post_init__(self):
+        if any(isinstance(s, str) for s in self.coeffs):
+            raise ConeError("subset key is a string, not a set of names")
+        if any(isinstance(c, (bool, float)) for c in self.coeffs.values()):
+            raise ConeError("coefficient is a bool or float, not an int or Fraction")
         clean = {
             frozenset(s): Fraction(c) for s, c in self.coeffs.items() if c
         }
@@ -234,37 +237,52 @@ def _convergent(v: float) -> Fraction:
         num, den = den, rem
 
 
-def _rationalize(values: list[float]) -> list[Fraction]:
-    """Each value as its ``_convergent``; a vertex or a dual vector
-    repeats few values, so each is rationalised once."""
-    exact = {v: _convergent(v) for v in set(values)}
-    return [exact[v] for v in values]
+def _proposed(np, values) -> Optional[tuple[int, ...]]:
+    """The values, each as its ``_convergent``, scaled by ``_normalize``.
+    A value below 0.5 / LP_TOL in size and within ``LP_TOL * max(1, |v|)``
+    of an integer has that integer as its convergent, so such a vector
+    needs no Fraction; others repeat few values, each rationalised once."""
+    v = np.asarray(values, dtype=float)
+    near, size = np.rint(v), np.abs(v)
+    if (size < 0.5 / LP_TOL).all() and (
+        np.abs(v - near) <= LP_TOL * np.maximum(1.0, size)
+    ).all():
+        ints = near.astype(np.int64)
+        g = np.gcd.reduce(ints)
+        return tuple((ints // g).tolist()) if g else None
+    exact = {x: _convergent(x) for x in set(v.tolist())}
+    return _normalize([exact[x] for x in v.tolist()])
 
 
 def _numpy():
-    """NumPy when SciPy's HiGHS bindings load with it, else None.  They
-    load on first use: ``gdag_lab`` imports this module."""
+    """NumPy when SciPy's HiGHS bindings load with it and can return a
+    dual ray, else None.  They load on first use: ``gdag_lab`` imports
+    this module."""
     try:
         import numpy
         # the package itself: a submodule already loaded would still
         # import with scipy.optimize hidden
         import scipy.optimize  # noqa: F401
-        from scipy.optimize._highspy import _core  # noqa: F401
+        from scipy.optimize._highspy import _core
     except ImportError:
         return None
-    return numpy
+    return numpy if hasattr(_core._Highs, "getDualRay") else None
 
 
 class _HighsLp:
-    """max t.y  s.t.  r.y <= u_r for every row r of the float matrix
-    ``a``, y free: one HiGHS model, loaded once with every u_r = 0 and
-    re-solved from the last basis for each objective t.  Presolve is
-    off so that the basis carries over from one solve to the next."""
+    """r_j.y >= 1 for the tested row j and r.y <= 0 for every live row r
+    of the float matrix ``a``, y free, no objective: one HiGHS model,
+    re-solved from the last basis for each row.  Only bounds change, so
+    every basis stays dual feasible; presolve is off so that it carries
+    over.  A solve that ends neither optimal nor infeasible switches the
+    model, for the rest of its pass, to the bounded form  max r_j.y
+    s.t.  r_j.y <= 1, whose optimum is 0 (implied) or 1 (refuted)."""
 
-    def __init__(self, np, a) -> None:
+    def __init__(self, np, a, live) -> None:
         from scipy.optimize._highspy import _core
 
-        self.optimal = _core.HighsModelStatus.kOptimal
+        self.a, self.status = a, _core.HighsModelStatus
+        self.bounded = False
         self.highs = highs = _core._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
@@ -275,7 +293,7 @@ class _HighsLp:
         lp.col_lower_ = np.full(n, -inf)
         lp.col_upper_ = np.full(n, inf)
         lp.row_lower_ = np.full(m, -inf)
-        lp.row_upper_ = np.zeros(m)
+        lp.row_upper_ = np.where(live, 0.0, inf)
         nonzero = a != 0
         matrix = lp.a_matrix_
         matrix.format_ = _core.MatrixFormat.kRowwise
@@ -287,26 +305,39 @@ class _HighsLp:
         self.cols = np.arange(n, dtype=np.int32)
 
     def cap(self, i: int, upper: float) -> None:
-        """Set row i's bound to r.y <= upper: 0 for a live row, 1 for the
-        tested row, inf for a dropped one, which no longer constrains y."""
+        """Set row i's bound to r.y <= upper: 0 for a live row, inf for a
+        dropped one, which no longer constrains y."""
         self.highs.changeRowBounds(i, -inf, upper)
 
-    def solve(self, t) -> Optional[tuple[float, list[float], list[float]]]:
-        """The optimum, the vertex y and the row duals (>= 0, one per
-        row) of  max t.y; None when HiGHS does not end optimal, and then
-        the next solve starts from no basis."""
+    def solve(self, j: int) -> Optional[tuple[bool, list[float]]]:
+        """Row j against the live rows: (True, y) proposes a Farkas vector
+        y, (False, lam) the multipliers lam of r_j, one per row; None when
+        HiGHS proposes neither, and then the next solve starts from no
+        basis.  An infeasible feasibility LP's dual ray, scaled to -1 at
+        row j, is lam."""
         highs = self.highs
-        highs.changeColsCost(len(self.cols), self.cols, -t)
+        if not self.bounded:
+            highs.changeRowBounds(j, 1.0, inf)
+            highs.run()
+            status = highs.getModelStatus()
+            if status == self.status.kOptimal:
+                return True, highs.getSolution().col_value
+            if status == self.status.kInfeasible:
+                _, has_ray, ray = highs.getDualRay()
+                if has_ray and ray[j]:
+                    return False, ray / -ray[j]
+            highs.clearSolver()
+            self.bounded = True
+        highs.changeRowBounds(j, -inf, 1.0)
+        highs.changeColsCost(len(self.cols), self.cols, -self.a[j])
         highs.run()
-        if highs.getModelStatus() != self.optimal:
+        if highs.getModelStatus() != self.status.kOptimal:
             highs.clearSolver()
             return None
         solution = highs.getSolution()
-        return (
-            -highs.getObjectiveValue(),
-            solution.col_value,
-            [-d for d in solution.row_dual],
-        )
+        if -highs.getObjectiveValue() > LP_TOL:
+            return True, solution.col_value
+        return False, [-d for d in solution.row_dual]
 
 
 def _exact_dtype(np, peak: int, weight: int):
@@ -332,16 +363,31 @@ def _rows_implies(
     )
 
 
+class _Pool:
+    """Integer Farkas vectors over a cone's subsets, confirmed at earlier
+    Fourier-Motzkin steps: the rows ``ys`` of one append-only matrix,
+    int64 unless some vector's sizes sum to 2**63 (``_exact_dtype``).
+    ``weight`` is the largest such sum."""
+
+    def __init__(self) -> None:
+        self.ys, self.weight = None, 0
+
+    def add(self, np, y: tuple[int, ...]) -> None:
+        self.weight = max(self.weight, sum(map(abs, y)))
+        new = np.array([y], dtype=_exact_dtype(np, 1, self.weight))
+        self.ys = new if self.ys is None else np.concatenate((self.ys, new))
+
+
 class _FloatRows:
     """One ``_minimize`` pass on the coordinates its rows mention: the
     rows' integer matrix, which decides every check, and one HiGHS model
-    of its float copy, which only proposes.  A row is live until it is
-    tested, and again once it is kept.
+    of its float copy, built at the first proposal, which only proposes.
+    A row is live until it is tested, and again once it is kept.
 
-    ``pool`` holds integer Farkas vectors in full coordinates.  Each is
-    multiplied by the rows once, exactly, when the pass starts; vectors
-    the pass adds cannot refute another of its rows, since each refutes
-    a row that the pass keeps."""
+    ``pool``'s vectors, in full coordinates, are multiplied by the rows
+    once, exactly, when the pass starts; vectors the pass adds cannot
+    refute another of its rows, since each refutes a row that the pass
+    keeps."""
 
     def __init__(self, np, rows: list[tuple[int, ...]], pool) -> None:
         self.np = np
@@ -352,13 +398,12 @@ class _FloatRows:
         ints = np.array(rows, dtype=_exact_dtype(np, self.peak, 1))
         self.coords = np.flatnonzero((ints != 0).any(axis=0))
         self.ints = ints[:, self.coords]
-        self.a = self.ints.astype(float)
-        self.lp = _HighsLp(np, self.a)
+        self.lp = None
         self.live = np.ones(len(rows), dtype=bool)
         self.positive = None
-        if pool:
-            ints, dtype = self._exact(max(sum(map(abs, y)) for y in pool))
-            ys = np.array(list(pool), dtype=dtype)[:, self.coords]
+        if pool is not None and pool.ys is not None:
+            ints, dtype = self._exact(pool.weight)
+            ys = pool.ys[:, self.coords].astype(dtype)
             self.positive = ys @ ints.T > 0
             # per vector, the live rows it is positive on; a vector
             # refutes row j only if j is the one
@@ -379,33 +424,27 @@ class _FloatRows:
         return bool((self.positive[:, j] & (self.live_positive == 1)).any())
 
     def proposal(self, j: int) -> Optional[bool]:
-        """Row j against the other live rows: cap row j at r_j.y <= 1,
-        maximise row j on the model and ``confirm`` the answer."""
-        self.lp.cap(j, 1.0)
+        """Row j against the other live rows: test it on the model and
+        ``confirm`` what HiGHS proposes."""
         self.live[j] = False
-        solved = self.lp.solve(self.a[j])
+        if self.lp is None:
+            self.lp = _HighsLp(self.np, self.ints.astype(float), self.live)
+        solved = self.lp.solve(j)
         return None if solved is None else self.confirm(j, *solved)
 
-    def confirm(
-        self, j: int, optimum: float, vertex: list[float], duals: list[float]
-    ) -> Optional[bool]:
-        """Check what HiGHS proposes for  max r_j.y  s.t.  r.y <= 0 for
-        every live row r, r_j.y <= 1, y free: its ``optimum``, 0 or 1,
-        the ``vertex`` y on the pass's coordinates and the ``duals``, one
-        per row.
+    def confirm(self, j: int, refutes: bool, values) -> Optional[bool]:
+        """Check what HiGHS proposes for row j against the live rows.
 
-        A positive optimum proposes y as a Farkas vector: one product
-        of the integer matrix with y must be positive on row j and on no
-        live row.  A confirmed vector joins the pool.  An optimum of 0
-        proposes the live rows' duals as the multipliers of row j (y has
-        no bounds, so no column dual takes a share of r_j): their
-        product with those rows must be a positive multiple of row j,
-        and failing that an exact solve on their support decides.
-        Returns the answer once an exact check confirms a proposal,
-        else None."""
+        A Farkas vector y (``refutes``) on the pass's coordinates: one
+        product of the integer matrix with y must be positive on row j
+        and on no live row.  A confirmed vector joins the pool.
+        Multipliers, one per row: the product of those above LP_TOL with
+        their live rows must be a positive multiple of row j, and
+        failing that an exact solve on their support decides.  Returns
+        the answer once an exact check confirms a proposal, else None."""
         np = self.np
-        if optimum > LP_TOL:
-            y = _normalize(_rationalize(vertex))
+        if refutes:
+            y = _proposed(np, values)
             if y is None:
                 return None
             ints, dtype = self._exact(sum(map(abs, y)))
@@ -416,14 +455,14 @@ class _FloatRows:
                 full = [0] * len(self.rows[j])
                 for k, c in zip(self.coords.tolist(), y):
                     full[k] = c
-                self.pool.add(tuple(full))
+                self.pool.add(np, tuple(full))
             return False
-        duals = np.asarray(duals)
-        support = np.flatnonzero(duals > LP_TOL)
+        values = np.asarray(values)
+        support = np.flatnonzero(values > LP_TOL)
         support = support[self.live[support]]
         if not support.size:
             return None
-        lam = _normalize(_rationalize(duals[support].tolist()))
+        lam = _proposed(np, values[support])
         if lam is not None:
             # the weight also bounds the cross products with row j
             ints, dtype = self._exact(sum(lam) * self.peak)
@@ -440,7 +479,8 @@ class _FloatRows:
     def settle(self, j: int, kept: bool) -> None:
         """Row j's verdict: a kept row is live, its bound r_j.y <= 0
         restored; a dropped one is freed and leaves the witness counts."""
-        self.lp.cap(j, 0.0 if kept else inf)
+        if self.lp is not None:
+            self.lp.cap(j, 0.0 if kept else inf)
         if not kept and self.positive is not None:
             self.live_positive -= self.positive[:, j]
         self.live[j] = kept
@@ -449,7 +489,7 @@ class _FloatRows:
 def _minimize(
     rows: list[tuple[int, ...]],
     irredundant: Collection[tuple[int, ...]] = (),
-    pool: Optional[set] = None,
+    pool: Optional[_Pool] = None,
 ) -> list[tuple[int, ...]]:
     """Drop rows implied by the remaining ones (greedy, deterministic).
 
@@ -459,8 +499,8 @@ def _minimize(
     combination of that set without r, so the Farkas vector that
     refuted r there still refutes it, and the greedy would keep r too.
 
-    ``pool`` is a set of integer Farkas vectors, int tuples over the
-    rows' coordinates, from earlier passes.  One that refutes r against the remaining rows
+    ``pool`` holds integer Farkas vectors over the rows' coordinates
+    from earlier passes.  One that refutes r against the remaining rows
     keeps r without an LP (Farkas's lemma), and every Farkas vector this
     pass confirms joins the pool.  A new row is a positive combination
     of two rows of the previous step, and the vector that refuted one
@@ -551,7 +591,7 @@ def derive_classical_cone(g: GDag, allow_large: bool = False) -> Cone:
     # rows already proved irredundant; the first step's input never was
     kept: frozenset[tuple[int, ...]] = frozenset()
     # Farkas vectors confirmed at every step, over g's subsets
-    pool: set = set()
+    pool = _Pool()
     for m in latent_coords:
         rows = _eliminate_coord(rows, m - 1)
         rows = _minimize(rows, kept, pool)
