@@ -7,7 +7,6 @@ from .dsep import (
     CISet,
     CIStatement,
     DsepWitness,
-    ci_subset,
     d_separated,
     d_separated_via_partition,
     observable_ci_set,
@@ -41,6 +40,7 @@ from .classify import (
     apply_reduction,
     apply_transformation,
     applicable_reductions,
+    ci_subset,
     reduce,
     sufficient_condition_holds,
 )

@@ -10,7 +10,8 @@ is complete for the condition.  The certificate is the first winning
 branch of that loop, found in one depth-first search over ordering
 prefixes that follows each placement state, which many branches share,
 once, and drops a state as soon as the observed nodes whose parents it
-has fixed fail a local-Markov statement.
+has fixed fail a local-Markov statement.  ``ci_subset``, which
+``Certificate.verify`` calls, runs that same test on a final graph.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .graph import GDag, NodeKind, _bits
-from .dsep import _dsep_mask, ci_subset
+from .graph import GDag, GraphError, NodeKind, _bits
+from .dsep import _dsep_mask, observable_ci_set
 
 
 class TransformError(ValueError):
@@ -211,7 +212,9 @@ def _settle(g: GDag, par: list[int], done: int, settled: int, memo: dict) -> Opt
     whose masks in ``par`` are final), testing each added node's ordered
     local-Markov statement in ``g`` in ``_ready_order``; the grown set,
     or None when one fails.  ``memo`` maps (node, rest, parents) to the
-    statement's answer."""
+    statement's answer.  The semi-graphoid closure of the list is every
+    d-separation of its DAG, for any topological order (Verma & Pearl
+    1988; Lauritzen et al. 1990), so one test per node decides them all."""
     obs = g.observed_mask
     m = settled & ~done
     while m:
@@ -230,6 +233,19 @@ def _settle(g: GDag, par: list[int], done: int, settled: int, memo: dict) -> Opt
         done |= low
         m = settled & ~done
     return done
+
+
+def ci_subset(g_new: GDag, g_old: GDag) -> bool:
+    """True iff every observable CI of ``g_new`` already holds in
+    ``g_old``: by ``_settle`` when ``g_new`` is all-observed, else as
+    ``observable_ci_set(g_new) <= observable_ci_set(g_old)``."""
+    if set(g_new.observed_nodes()) != set(g_old.observed_nodes()):
+        raise GraphError("observed node sets differ")
+    if g_new.observed_mask != g_new.all_mask:
+        return observable_ci_set(g_new) <= observable_ci_set(g_old)
+    par = [g_old.mask_of(g_new.parents(n)) if n in g_new.index else 0
+           for n in g_old.names]
+    return _settle(g_old, par, 0, g_old.observed_mask, {}) is not None
 
 
 def _first_win(

@@ -569,10 +569,10 @@ def _restrict(
     return list(dict.fromkeys(out))
 
 
-def _check_size(g: GDag, allow_large: bool) -> None:
-    if len(g.names) > MAX_CONE_NODES and not allow_large:
+def _check_size(n: int, what: str, allow_large: bool) -> None:
+    if n > MAX_CONE_NODES and not allow_large:
         raise ConeError(
-            f"graph has {len(g.names)} nodes; cones above {MAX_CONE_NODES} "
+            f"graph has {n} {what}; cones above {MAX_CONE_NODES} "
             "require the long-run flag"
         )
 
@@ -580,7 +580,7 @@ def _check_size(g: GDag, allow_large: bool) -> None:
 def derive_classical_cone(g: GDag, allow_large: bool = False) -> Cone:
     """E_C: Shannon cone over all nodes plus entropic Markov rows,
     projected onto observed-subset coordinates."""
-    _check_size(g, allow_large)
+    _check_size(len(g.names), "nodes", allow_large)
     cone = elemental_inequalities(g.names)
     # the elemental set is already irredundant; skip the initial pass
     rows = list(dict.fromkeys([*cone.rows, *_markov_rows(g)]))
@@ -603,10 +603,10 @@ def derive_classical_cone(g: GDag, allow_large: bool = False) -> Cone:
 
 
 def derive_independence_cone(g: GDag, allow_large: bool = False) -> Cone:
-    """E_I: observed Shannon cone plus -I(X;Y|Z) >= 0 for every
-    observable d-separation statement."""
-    _check_size(g, allow_large)
+    """E_I: observed Shannon cone plus -I(X;Y|Z) >= 0 for every observable
+    d-separation statement; the size guard counts the observed nodes only."""
     obs = g.observed_nodes()
+    _check_size(len(obs), "observed nodes", allow_large)
     if not obs:
         raise ConeError("graph has no observed nodes")
     cone = elemental_inequalities(obs)

@@ -3,7 +3,8 @@
 Two equivalent formulations are provided: reachability in the
 pseudo-adjacency relation (two nodes linked when adjacent or sharing a
 child outside the exogenous remainder W), and the four-set partition
-{U, V, Z, W} witness form.
+{U, V, Z, W} witness form.  The inclusion test between two graphs'
+CI sets, ``ci_subset``, is in ``classify``, beside the test it reuses.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import GDag, GraphError, _bits, _ready_order
+from .graph import GDag, GraphError, _bits
 
 
 @dataclass(frozen=True)
@@ -170,37 +171,3 @@ def observable_ci_set(g: GDag) -> CISet:
                 CIStatement(g.names_of(xm), g.names_of(ym), g.names_of(zm))
             )
     return CISet(stmts)
-
-
-def _markov_holds(g: GDag, par: dict[int, int]) -> bool:
-    """True iff every d-separation of the DAG with parent masks ``par``
-    (node to parent mask, both in ``g``'s indices) holds in ``g``.
-
-    Its ordered local-Markov list suffices: each node i is independent
-    of its predecessors in a topological order (here lowest ready index
-    first) given its parents.  d-separation in ``g`` is a semi-graphoid,
-    and the semi-graphoid closure of that list is every d-separation of
-    the DAG, for any topological order (Verma & Pearl 1988; Lauritzen,
-    Dawid, Larsen & Leimer 1990), so one test per node decides it.
-    """
-    done = 0
-    for i in _ready_order(par, sum(1 << i for i in par)):
-        rest = done & ~par[i]
-        if rest and not _dsep_mask(g, 1 << i, rest, par[i]):
-            return False
-        done |= 1 << i
-    return True
-
-
-def ci_subset(g_new: GDag, g_old: GDag) -> bool:
-    """True iff every observable CI of ``g_new`` already holds in
-    ``g_old``: by the local-Markov list when ``g_new`` is all-observed,
-    else as the inclusion of CI sets
-    ``observable_ci_set(g_new) <= observable_ci_set(g_old)``."""
-    if set(g_new.observed_nodes()) != set(g_old.observed_nodes()):
-        raise GraphError("observed node sets differ")
-    if g_new.observed_mask == g_new.all_mask:
-        return _markov_holds(g_old, {
-            g_old.index[n]: g_old.mask_of(g_new.parents(n)) for n in g_new.names
-        })
-    return observable_ci_set(g_new) <= observable_ci_set(g_old)

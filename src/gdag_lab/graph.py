@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -28,6 +28,13 @@ def _is_node_id(n: object) -> bool:
     return isinstance(n, str) and n.split() == [n] and "," not in n
 
 
+def _not_str(names: Iterable[str]) -> Iterable[str]:
+    """``names``; GraphError for a bare string, read as its characters."""
+    if isinstance(names, str):
+        raise GraphError(f"expected a collection of node ids, got {names!r}")
+    return names
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -36,9 +43,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _ready_order(
-    parent_mask: Mapping[int, int] | Sequence[int], todo: int
-) -> Iterator[int]:
+def _ready_order(parent_mask: Sequence[int], todo: int) -> Iterator[int]:
     """The nodes of the mask ``todo`` in topological order, lowest ready
     index first: a node is ready once none of its parents
     (``parent_mask[i]``) is left in todo.  The scan over todo is
@@ -103,9 +108,12 @@ class GDag:
         edges: Iterable[tuple[str, str]] = (),
     ):
         # Tuples are built from lists, as in ``_masks_of_children``.
-        self.nodes: tuple[tuple[str, NodeKind], ...] = tuple(
-            [(n, k if type(k) is NodeKind else NodeKind(k)) for n, k in nodes]
-        )
+        try:
+            self.nodes: tuple[tuple[str, NodeKind], ...] = tuple(
+                [(n, k if type(k) is NodeKind else NodeKind(k)) for n, k in nodes]
+            )
+        except ValueError as e:
+            raise GraphError(f"bad node entry: {e}") from None
         names = tuple([n for n, _ in self.nodes])
         for n in names:
             if not _is_node_id(n):
@@ -159,7 +167,7 @@ class GDag:
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
-        for n in names:
+        for n in _not_str(names):
             try:
                 m |= 1 << self.index[n]
             except KeyError:
@@ -204,7 +212,7 @@ class GDag:
         return GDag(self.nodes, tuple([e for e in self.edges if e != (a, b)]))
 
     def without_nodes(self, drop: Iterable[str]) -> "GDag":
-        gone = set(drop)
+        gone = set(_not_str(drop))
         return GDag(
             tuple([nk for nk in self.nodes if nk[0] not in gone]),
             tuple([e for e in self.edges if e[0] not in gone and e[1] not in gone]),

@@ -38,6 +38,13 @@ def _check_vars(variables: Iterable[tuple[str, int]]) -> None:
         seen.add(name)
 
 
+def _not_str(names: Iterable[str]) -> Iterable[str]:
+    """``names``; ModelError for a bare string, read as its characters."""
+    if isinstance(names, str):
+        raise ModelError(f"expected a collection of variable ids, got {names!r}")
+    return names
+
+
 def _check_probs(probs: Iterable) -> None:
     """Every entry is an exact nonnegative rational: a Fraction or a
     non-bool int."""
@@ -170,7 +177,7 @@ class Distribution:
         return self.probs[_index(self.variables, outcome)]
 
     def marginal(self, names: Iterable[str]) -> "Distribution":
-        keep = list(names)
+        keep = list(_not_str(names))
         numerators, d = _numerators(self, keep)
         # Tuples are built from lists: the dead tuples of ``tuple(genexpr)``,
         # which over-allocates and resizes, pile up on CPython's per-size
@@ -483,7 +490,7 @@ def is_conditionally_independent(p: Distribution, x, y, z) -> bool:
     folding it gives those of P(x,z), P(y,z) and P(z).  The test is then
     n_xyz n_z == n_xz n_yz in every cell: each side is d² times the
     rational product, so d cancels."""
-    x, y, z = frozenset(x), frozenset(y), frozenset(z)
+    x, y, z = frozenset(_not_str(x)), frozenset(_not_str(y)), frozenset(_not_str(z))
     if x & y or x & z or y & z:
         raise ModelError("x, y, z must be pairwise disjoint")
     names = p.names
@@ -538,7 +545,7 @@ def satisfies_I(g: GDag, p: Distribution) -> IndependenceReport:
 
 def entropy(p: Distribution, s: Iterable[str]) -> float:
     """Shannon entropy of the variables ``s`` in bits, 0 log 0 = 0."""
-    s = frozenset(s)
+    s = frozenset(_not_str(s))
     unknown = s.difference(p.names)
     if unknown:
         raise ModelError(f"unknown variable {min(unknown)!r}")
@@ -552,14 +559,14 @@ def entropy(p: Distribution, s: Iterable[str]) -> float:
 
 
 def mutual_information(p: Distribution, s, t) -> float:
-    s, t = frozenset(s), frozenset(t)
+    s, t = frozenset(_not_str(s)), frozenset(_not_str(t))
     if s & t:
         raise ModelError("overlapping variable sets")
     return entropy(p, s) + entropy(p, t) - entropy(p, s | t)
 
 
 def conditional_mutual_information(p: Distribution, s, t, u) -> float:
-    s, t, u = frozenset(s), frozenset(t), frozenset(u)
+    s, t, u = (frozenset(_not_str(v)) for v in (s, t, u))
     if s & t or s & u or t & u:
         raise ModelError("overlapping variable sets")
     return (

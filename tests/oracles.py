@@ -256,8 +256,9 @@ def closure_oracle(g: GDag) -> tuple[GDag, list[AddEdgeUnobservedPath]]:
 
 def ci_subset_oracle(g_new: GDag, g_old: GDag) -> bool:
     """Every observable CI of ``g_new`` holds in ``g_old``, by testing
-    each canonical observed triple of ``g_new``: the reference for the
-    local-Markov route of ``dsep.ci_subset``."""
+    each canonical observed triple of ``g_new``: the reference for
+    ``classify.ci_subset``, whose all-observed route is the certificate
+    search's ordered local-Markov test ``classify._settle``."""
     if set(g_new.observed_nodes()) != set(g_old.observed_nodes()):
         raise GraphError("observed node sets differ")
     for xm, ym, zm in _observed_triples(g_new):

@@ -35,10 +35,11 @@ from gdag_lab.classify import (
     apply_reduction,
     apply_transformation,
     applicable_reductions,
+    ci_subset,
     reduce,
     sufficient_condition_holds,
 )
-from gdag_lab.dsep import ci_subset, d_separated, observable_ci_set
+from gdag_lab.dsep import d_separated, observable_ci_set
 from gdag_lab.enumeration import enumerate_gdags
 from gdag_lab.graph import GDag, NodeKind, _bits, _ready_order
 
@@ -157,6 +158,16 @@ def test_certificate_tampering_detected():
     cert = sufficient_condition_holds(one_sided_bell_gdag())
     bad = Certificate(cert.source, cert.steps[:-1])
     assert not bad.verify()
+
+
+def test_verify_false_on_added_independence():
+    """Dropping X -> A from the final graph replays to an all-observed
+    graph in which X and A are independent, which the source does not
+    force: only the CI test refuses it."""
+    cert = sufficient_condition_holds(one_sided_bell_gdag())
+    bad = Certificate(cert.source, cert.steps + (RemoveEdge("X", "A"),))
+    assert all(k is OBS for k in bad.final.kinds)
+    assert bad.verify() is False
 
 
 def test_verify_false_on_inapplicable_step():

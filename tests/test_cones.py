@@ -322,6 +322,21 @@ def test_size_guard():
     assert derive_independence_cone(big, allow_large=True) is not None
 
 
+def test_independence_cone_guard_counts_observed_nodes():
+    """E_I is built over the observed nodes, so the 8-node extended Bell
+    graph, with 4 observed, needs no flag; E_C still counts every node."""
+    g = extended_bell_gdag()
+    assert derive_independence_cone(g) == derive_independence_cone(g, allow_large=True)
+    with pytest.raises(ConeError, match="8 nodes"):
+        derive_classical_cone(g)
+    seven = GDag(
+        [(f"N{i}", NodeKind.OBSERVED) for i in range(7)] + [("L", NodeKind.UNOBSERVED)],
+        [("L", "N0"), ("L", "N1")],
+    )
+    with pytest.raises(ConeError, match="7 observed nodes"):
+        derive_independence_cone(seven)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_classical_cone_sound_on_models(seed):

@@ -18,11 +18,11 @@ from gdag_lab.dsep import (
     CIStatement,
     CISet,
     _observed_triples,
-    ci_subset,
     d_separated,
     d_separated_via_partition,
     observable_ci_set,
 )
+from gdag_lab.classify import ci_subset
 from gdag_lab.graph import GDag, GraphError, NodeKind
 
 from generators import random_gdag

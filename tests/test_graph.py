@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdag_lab.dsep import d_separated
 from gdag_lab.graph import GDag, GraphError, NodeKind, parse_gdag
 from gdag_lab.catalog import bell_gdag
 
@@ -58,6 +59,28 @@ def test_rejects_bad_node_id():
         GDag([(1, OBS)])
     with pytest.raises(GraphError, match=r"^bad node id \['A'\]$"):
         GDag([(["A"], OBS)])
+
+
+def test_rejects_unknown_kind():
+    with pytest.raises(GraphError, match="'obs' is not a valid NodeKind"):
+        GDag([("A", "obs")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.mask_of("AB"),
+        lambda g: g.without_nodes("AB"),
+        lambda g: d_separated(g, "AB", {"C"}, set()),
+        lambda g: d_separated(g, {"AB"}, {"C"}, ""),
+    ],
+    ids=["mask_of", "without_nodes", "dsep-x", "dsep-z"],
+)
+def test_bare_string_is_not_a_set_of_ids(call):
+    """A string would iterate as its characters, here the ids A and B."""
+    g = GDag([("A", OBS), ("B", OBS), ("AB", OBS), ("C", OBS)], [("AB", "C")])
+    with pytest.raises(GraphError, match="expected a collection of node ids"):
+        call(g)
 
 
 @pytest.mark.parametrize("bad", ["A,B", "A B"])

@@ -454,6 +454,24 @@ def test_unknown_variable_rejected(quantity):
         quantity(uniform2("A", "B"))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p.marginal("AB"),
+        lambda p: entropy(p, "AB"),
+        lambda p: mutual_information(p, {"A"}, "AB"),
+        lambda p: conditional_mutual_information(p, {"A"}, {"B"}, "AB"),
+        lambda p: is_conditionally_independent(p, {"A"}, {"B"}, ""),
+    ],
+    ids=["marginal", "H", "I", "I-given", "CI"],
+)
+def test_bare_string_is_not_a_set_of_variables(call):
+    """A string would iterate as its characters, here the variables A and B."""
+    p = Distribution((("A", 2), ("B", 2), ("AB", 2)), (Fraction(1, 8),) * 8)
+    with pytest.raises(ModelError, match="expected a collection of variable ids"):
+        call(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_random_prob_row_sums_to_one(seed):
